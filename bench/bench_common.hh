@@ -26,9 +26,7 @@
 #include <vector>
 
 #include "features/pca.hh"
-#include "gpusim/streaming_work_trace.hh"
 #include "obs/obs.hh"
-#include "partition/shards.hh"
 #include "report/report.hh"
 #include "runtime/runtime.hh"
 #include "synth/suite.hh"
@@ -104,13 +102,6 @@ addThreadsOption(ArgParser &args)
                    "write a self-contained HTML dashboard built from "
                    "the --trace-out / --metrics-out artifacts and "
                    "results/ to this file");
-    args.addInt("mem-budget", 0,
-                "out-of-core memory budget in MiB for streamed sweeps "
-                "(0 = GWS_MEM_BUDGET or the 256 MiB default)");
-    args.addString("partition-cost", "",
-                   "shard-balancing cost function: balanced, "
-                   "critical_path, greedy, or minmax (default from "
-                   "GWS_PARTITION)");
     args.addString("pca", "",
                    "cluster in the PCA-whitened feature space keeping "
                    "this cumulative-variance fraction in (0, 1]; "
@@ -146,19 +137,6 @@ applyThreadsOption(const ArgParser &args)
         args.getString("metrics-text-out");
     if (!metrics_text_out.empty())
         obs::setMetricsTextOutputPath(metrics_text_out);
-
-    const std::int64_t budget_mib = args.getInt("mem-budget");
-    if (budget_mib > 0)
-        setMemBudgetBytes(static_cast<std::size_t>(budget_mib) << 20);
-
-    const std::string partition_cost = args.getString("partition-cost");
-    if (!partition_cost.empty()) {
-        PartitionCostFn fn = PartitionCostFn::Balanced;
-        if (!parsePartitionCostFn(partition_cost, &fn))
-            GWS_FATAL("--partition-cost wants balanced / critical_path "
-                      "/ greedy / minmax, got '", partition_cost, "'");
-        setDefaultPartitionCostFn(fn);
-    }
 
     const std::string pca = args.getString("pca");
     if (!pca.empty()) {

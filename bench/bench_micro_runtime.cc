@@ -4,9 +4,12 @@
  * of GpuSimulator::simulateTrace over the whole suite at 1/2/4/N
  * worker threads, the speedup trajectory, and a bit-identity check of
  * the totals across thread counts (the determinism contract, measured
- * rather than assumed). Results are also written as JSON
- * (BENCH_micro_runtime.json by default) so the perf trajectory can be
- * tracked run over run.
+ * rather than assumed). The draw-work memo is cleared before the
+ * warm-up and before every timed pass, so each pass simulates every
+ * draw instead of replaying memo hits; the memo hits the timed passes
+ * still see are reported next to the timings. Results are also
+ * written as JSON (BENCH_micro_runtime.json by default) so the perf
+ * trajectory can be tracked run over run.
  */
 
 #include <algorithm>
@@ -15,6 +18,7 @@
 #include <vector>
 
 #include "bench/bench_common.hh"
+#include "gpusim/draw_work_cache.hh"
 #include "gpusim/gpu_simulator.hh"
 #include "util/logging.hh"
 #include "util/table.hh"
@@ -23,11 +27,15 @@ namespace {
 
 using namespace gws;
 
-/** Wall ns of one full-suite simulateTrace sweep. */
+/**
+ * Wall ns of one full-suite simulateTrace sweep, starting from an
+ * empty draw-work memo (cleared outside the timed region).
+ */
 double
 sweepOnceNs(const std::vector<Trace> &suite, const GpuSimulator &sim,
             double *total_ns_out)
 {
+    drawWorkCacheClear();
     const auto t0 = std::chrono::steady_clock::now();
     double total = 0.0;
     for (const Trace &t : suite)
@@ -83,6 +91,7 @@ run(int argc, char **argv)
     std::vector<double> best_ms(sweep.size());
     double reference_total = 0.0;
     bool deterministic = true;
+    std::uint64_t timed_memo_hits = 0;
 
     for (std::size_t s = 0; s < sweep.size(); ++s) {
         RuntimeConfig cfg = base;
@@ -93,7 +102,9 @@ run(int argc, char **argv)
         sweepOnceNs(suite, sim, &total); // warm-up (pool spin-up)
         double best = 0.0;
         for (std::size_t r = 0; r < repeats; ++r) {
+            const std::uint64_t hits0 = runtimeCounters().drawCacheHits;
             const double ns = sweepOnceNs(suite, sim, &total);
+            timed_memo_hits += runtimeCounters().drawCacheHits - hits0;
             best = r == 0 ? ns : std::min(best, ns);
         }
         best_ms[s] = best * 1e-6;
@@ -115,6 +126,8 @@ run(int argc, char **argv)
     std::fputs(table.renderAscii().c_str(), stdout);
     std::printf("\ndeterminism across thread counts: %s\n",
                 deterministic ? "bit-identical" : "MISMATCH");
+    std::printf("draw-work memo hits in timed passes: %llu\n",
+                static_cast<unsigned long long>(timed_memo_hits));
     if (!deterministic)
         GWS_WARN("simulateTrace totals drifted across thread counts");
 
@@ -124,6 +137,7 @@ run(int argc, char **argv)
         json.setString("scale", toString(scale));
         json.setUint("hardware_threads", hardwareThreads());
         json.setBool("deterministic", deterministic);
+        json.setUint("timed_memo_hits", timed_memo_hits);
         std::string points = "[";
         for (std::size_t s = 0; s < sweep.size(); ++s) {
             char buf[96];

@@ -5,25 +5,29 @@
 #include <limits>
 
 #include "cluster/feature_matrix.hh"
+#include "partition/multilevel.hh"
 #include "util/logging.hh"
 
 namespace gws {
 
 namespace {
 
+/** Neighbors per point in the similarity graph. */
+constexpr std::size_t kNeighbors = 8;
+
 /**
  * Symmetric k-NN similarity graph: each point contributes edges to
- * its `neighbors` nearest others (squared distances from the SoA
+ * its kNeighbors nearest others (squared distances from the SoA
  * batch kernel, ties toward the lower index), weighted 1 / (1 + d²)
  * so near-duplicates bind tightly and far pairs barely matter.
  * buildGraph() symmetrizes and coalesces the union.
  */
 PartGraph
-knnGraph(const std::vector<FeatureVector> &points, std::size_t neighbors)
+knnGraph(const std::vector<FeatureVector> &points)
 {
     const std::size_t n = points.size();
     const FeatureMatrix matrix(points);
-    const std::size_t k = std::min(neighbors, n - 1);
+    const std::size_t k = std::min(kNeighbors, n - 1);
 
     std::vector<GraphEdge> edges;
     edges.reserve(n * k);
@@ -85,16 +89,7 @@ graphPartitionCluster(const std::vector<FeatureVector> &points,
 
     PartitionConfig pcfg;
     pcfg.parts = k;
-    pcfg.costFn = config.costFn;
-    pcfg.balanceTolerance = config.balanceTolerance;
-    pcfg.refinePasses = config.refinePasses;
-    // Coarsen close to k before seeding: heavy-edge matching merges
-    // near-duplicate draws, so the surviving coarse nodes are tight
-    // similarity groups and make far better part seeds than raw
-    // points (whose unit weights leave seed choice to index order).
-    pcfg.coarsenNodesPerPart = 2;
-    PartitionResult res =
-        multilevelPartition(knnGraph(points, config.neighbors), pcfg);
+    PartitionResult res = multilevelPartition(knnGraph(points), pcfg);
     out.assignment = std::move(res.assignment);
 
     // Centroids are member means, accumulated in ascending item order.

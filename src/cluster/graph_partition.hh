@@ -21,7 +21,6 @@
 #define GWS_CLUSTER_GRAPH_PARTITION_HH
 
 #include "cluster/clustering.hh"
-#include "partition/multilevel.hh"
 
 namespace gws {
 
@@ -40,30 +39,6 @@ struct GraphPartitionConfig
      * (1 − k/n).
      */
     double targetEfficiency = 0.65;
-
-    /** Neighbors per point in the similarity graph. */
-    std::size_t neighbors = 8;
-
-    /**
-     * Partitioner objective. Greedy (min-cut under the balance
-     * tolerance) is the natural clustering objective — cut edges are
-     * weak similarities; the balance-first objectives trade cut
-     * quality for equal cluster sizes.
-     */
-    PartitionCostFn costFn = PartitionCostFn::Greedy;
-
-    /**
-     * Max part weight as a multiple of ideal (points per cluster).
-     * Deliberately loose: natural draw clusters are heavily skewed
-     * (a few repeated-state clusters absorb most draws), and forcing
-     * near-equal sizes would cut through similarity structure and mix
-     * dissimilar draws into one cluster. The load-balancing shard use
-     * of the partitioner wants tight tolerances; clustering does not.
-     */
-    double balanceTolerance = 8.0;
-
-    /** Refinement passes per uncoarsening level. */
-    std::size_t refinePasses = 8;
 };
 
 /**

@@ -21,10 +21,6 @@ runFreqScaling(const Trace &trace, const WorkloadSubset &subset,
     result.scales = config.scales;
 
     // --- compute once, retime many -----------------------------------------
-    // The parent trace goes out of core when flattening it would
-    // exceed the memory budget; the subset is small by construction
-    // and always stays in memory (prediction needs its per-draw
-    // costs). Both paths are bit-identical.
     const GpuSimulator base_sim(base);
     const std::vector<GpuConfig> points =
         clockSweepConfigs(base, config.scales);
@@ -33,14 +29,9 @@ runFreqScaling(const Trace &trace, const WorkloadSubset &subset,
     SweepConfig subset_pass = parent_pass;
     subset_pass.perDraw = true; // representative costs feed prediction
 
-    SweepResult parent_sweep;
-    if (sweepUsesStreamedPath(config.path, traceDrawCount(trace))) {
-        StreamingWorkTrace stream(trace, base_sim);
-        parent_sweep = retimeAllStreamed(stream, points, parent_pass);
-    } else {
-        const WorkTrace parent_work = buildWorkTrace(trace, base_sim);
-        parent_sweep = retimeAll(parent_work, points, parent_pass);
-    }
+    const WorkTrace parent_work = buildWorkTrace(trace, base_sim);
+    const SweepResult parent_sweep =
+        retimeAll(parent_work, points, parent_pass);
 
     const WorkTrace subset_work =
         buildSubsetWorkTrace(trace, subset, base_sim);

@@ -52,12 +52,6 @@ parentCostsEngine(const Trace &trace,
         groups[g].push_back(i);
     }
 
-    // The streamed decision is per capacity group: each group flattens
-    // the whole trace under its own capacity config, so each one
-    // independently goes out of core when that image would exceed the
-    // memory budget.
-    const bool streamed = sweepUsesStreamedPath(path, traceDrawCount(trace));
-
     std::vector<double> costs(designs.size(), 0.0);
     for (const std::vector<std::size_t> &members : groups) {
         const GpuSimulator sim(designs[members.front()]);
@@ -67,14 +61,8 @@ parentCostsEngine(const Trace &trace,
             configs.push_back(designs[i]);
         SweepConfig pass;
         pass.path = path;
-        SweepResult sweep;
-        if (streamed) {
-            StreamingWorkTrace stream(trace, sim);
-            sweep = retimeAllStreamed(stream, configs, pass);
-        } else {
-            const WorkTrace work = buildWorkTrace(trace, sim);
-            sweep = retimeAll(work, configs, pass);
-        }
+        const WorkTrace work = buildWorkTrace(trace, sim);
+        const SweepResult sweep = retimeAll(work, configs, pass);
         for (std::size_t m = 0; m < members.size(); ++m)
             costs[members[m]] = sweep.totalNs[m];
     }

@@ -106,45 +106,6 @@ retimeNaive(const WorkTrace &wt, std::span<const GpuConfig> configs,
 }
 
 /**
- * Schedule per_group(g) for every group, either over cost-balanced
- * contiguous shards (one shard plan per call, per-group cost = row
- * count + 1 so empty groups still carry scheduling weight) or over
- * uniform groupGrain chunks on the naive partition path. Pure
- * scheduling: every caller keeps per-group state indexed by g and
- * reduces in ascending group order afterwards, so both paths — and
- * any shard count — produce bit-identical results by construction.
- */
-template <typename Fn>
-void
-forEachGroupSharded(const WorkTrace &wt, const SweepConfig &config,
-                    Fn &&per_group)
-{
-    const std::size_t groups = wt.groupCount();
-    if (partitionUsesNaivePath(config.partition) ||
-        resolvedThreadCount() <= 1) {
-        const std::size_t grain =
-            config.groupGrain == 0 ? 1 : config.groupGrain;
-        parallelFor(0, groups, grain, per_group);
-        return;
-    }
-    std::vector<double> costs(groups);
-    for (std::size_t g = 0; g < groups; ++g)
-        costs[g] = static_cast<double>(wt.groupEnd(g) -
-                                       wt.groupBegin(g)) +
-                   1.0;
-    const std::size_t shards = config.shardCount == 0
-                                   ? defaultShardCount(groups)
-                                   : config.shardCount;
-    const ShardPlan plan = partitionTraceShards(
-        costs, shards, defaultPartitionCostFn());
-    const auto &f = per_group;
-    parallelShards(plan.bounds, [&f](std::size_t b, std::size_t e) {
-        for (std::size_t g = b; g < e; ++g)
-            f(g);
-    });
-}
-
-/**
  * Generic blocked kernel: parallel over groups, and for each draw an
  * inner loop over all configs so the row's columns are loaded once
  * per pass instead of once per design. The arithmetic per draw ×
@@ -156,8 +117,7 @@ forEachGroupSharded(const WorkTrace &wt, const SweepConfig &config,
  */
 void
 retimeEngineGeneric(const WorkTrace &wt,
-                    std::span<const GpuConfig> configs,
-                    const SweepConfig &config, bool per_draw,
+                    std::span<const GpuConfig> configs, bool per_draw,
                     SweepResult &result,
                     std::vector<double> &group_hist_ns,
                     std::vector<std::uint64_t> &group_hist_count)
@@ -176,7 +136,7 @@ retimeEngineGeneric(const WorkTrace &wt,
     const double *l2 = wt.l2Bytes();
     const double *dram = wt.dramBytes();
 
-    forEachGroupSharded(wt, config, [&](std::size_t g) {
+    parallelFor(0, groups, 1, [&](std::size_t g) {
         std::vector<double> acc(n_cfg, 0.0);
         double *hist_ns = &group_hist_ns[g * n_cfg * numStages];
         std::uint64_t *hist_count =
@@ -325,8 +285,8 @@ exactClockedScan(const double *q, double s_dr, double ghz, double setup,
 void
 retimeEngineClocked(const WorkTrace &wt,
                     std::span<const GpuConfig> configs,
-                    const HoistedConfigs &h, const SweepConfig &config,
-                    bool per_draw, SweepResult &result,
+                    const HoistedConfigs &h, bool per_draw,
+                    SweepResult &result,
                     std::vector<double> &group_hist_ns,
                     std::vector<std::uint64_t> &group_hist_count)
 {
@@ -358,7 +318,7 @@ retimeEngineClocked(const WorkTrace &wt,
     const double l2_rate = h.l2Rate.front();
     const double dram_bw = h.dramBw.front();
 
-    forEachGroupSharded(wt, config, [&](std::size_t g) {
+    parallelFor(0, groups, 1, [&](std::size_t g) {
         std::vector<double> acc(n_cfg, 0.0);
         double *hist_base = &group_hist_ns[g * n_cfg * numStages];
         std::uint64_t *count_base =
@@ -468,17 +428,17 @@ retimeEngineClocked(const WorkTrace &wt,
 /** Engine dispatch: clock-only sweeps take the single-divide kernel. */
 void
 retimeEngine(const WorkTrace &wt, std::span<const GpuConfig> configs,
-             const SweepConfig &config, bool per_draw,
-             SweepResult &result, std::vector<double> &group_hist_ns,
+             bool per_draw, SweepResult &result,
+             std::vector<double> &group_hist_ns,
              std::vector<std::uint64_t> &group_hist_count)
 {
     obs::SpanScope span("core.retimeAll.engine");
     const HoistedConfigs h(configs);
     if (clockOnlySweep(h))
-        retimeEngineClocked(wt, configs, h, config, per_draw, result,
+        retimeEngineClocked(wt, configs, h, per_draw, result,
                             group_hist_ns, group_hist_count);
     else
-        retimeEngineGeneric(wt, configs, config, per_draw, result,
+        retimeEngineGeneric(wt, configs, per_draw, result,
                             group_hist_ns, group_hist_count);
 }
 
@@ -491,21 +451,8 @@ sweepUsesNaivePath(SweepPath path)
         return true;
     if (path == SweepPath::Engine)
         return false;
-    // Auto and Streamed both honour the forcing knob — for Streamed
-    // it picks the per-chunk kernel, keeping the A/B meaningful out
-    // of core.
     static const bool forced = envBool("GWS_NAIVE_SWEEP", false);
     return forced;
-}
-
-bool
-sweepUsesStreamedPath(SweepPath path, std::size_t draw_count)
-{
-    if (path == SweepPath::Streamed)
-        return true;
-    if (path != SweepPath::Auto)
-        return false;
-    return shouldStreamWorkTrace(draw_count);
 }
 
 SweepResult
@@ -546,7 +493,7 @@ retimeAll(const WorkTrace &trace, std::span<const GpuConfig> configs,
         retimeNaive(trace, configs, config.perDraw, result, group_hist_ns,
                     group_hist_count);
     else
-        retimeEngine(trace, configs, config, config.perDraw, result,
+        retimeEngine(trace, configs, config.perDraw, result,
                      group_hist_ns, group_hist_count);
 
     for (std::size_t c = 0; c < n_cfg; ++c) {
@@ -567,87 +514,6 @@ retimeAll(const WorkTrace &trace, std::span<const GpuConfig> configs,
 
     runtime_detail::noteSweepPass(
         n_cfg, n_cfg * trace.drawCount(),
-        runtime_detail::nowNs() - t0);
-    return result;
-}
-
-SweepResult
-retimeAllStreamed(StreamingWorkTrace &stream,
-                  std::span<const GpuConfig> configs,
-                  const SweepConfig &config)
-{
-    ScopedRegion region("core.retimeAllStreamed");
-    const std::uint64_t t0 = runtime_detail::nowNs();
-    GWS_ASSERT(!configs.empty(), "retimeAllStreamed with no configs");
-    GWS_ASSERT(!config.perDraw,
-               "streamed sweeps cannot record per-draw costs; the "
-               "configs × draws matrix is the allocation the streamed "
-               "path exists to avoid");
-    for (const GpuConfig &cfg : configs)
-        GWS_ASSERT(capacityConfigHash(cfg) == stream.capacityKey(),
-                   "config '", cfg.name,
-                   "' changes capacity parameters; the streamed work "
-                   "was computed under a different capacity hash");
-
-    const std::size_t n_cfg = configs.size();
-    const std::size_t groups = stream.groupCount();
-
-    SweepResult result;
-    result.configCount = n_cfg;
-    result.groupCount = groups;
-    result.drawCount = stream.drawCount();
-    result.totalNs.assign(n_cfg, 0.0);
-    result.groupNs.assign(n_cfg * groups, 0.0);
-    result.bottleneckNs.assign(n_cfg * numStages, 0.0);
-    result.bottleneckCount.assign(n_cfg * numStages, 0);
-
-    const bool naive = sweepUsesNaivePath(config.path);
-
-    stream.forEachChunk([&](std::size_t, std::size_t first_group,
-                            const WorkTrace &chunk) {
-        // Chunk-local pass through the very kernels retimeAll runs:
-        // they are group-local, and a chunk's columns are bitwise the
-        // flattened trace's rows, so every per-group value comes out
-        // identical.
-        const std::size_t cg = chunk.groupCount();
-        SweepResult local;
-        local.configCount = n_cfg;
-        local.groupCount = cg;
-        local.drawCount = chunk.drawCount();
-        local.groupNs.assign(n_cfg * cg, 0.0);
-        std::vector<double> hist_ns(cg * n_cfg * numStages, 0.0);
-        std::vector<std::uint64_t> hist_count(cg * n_cfg * numStages, 0);
-        if (naive)
-            retimeNaive(chunk, configs, false, local, hist_ns,
-                        hist_count);
-        else
-            retimeEngine(chunk, configs, config, false, local, hist_ns,
-                         hist_count);
-
-        // Fold in the in-memory merge's order: per config, groups
-        // ascending. Chunks arrive in ascending group order, so each
-        // accumulator (totalNs[c], bottleneck slot [c, s]) sees the
-        // exact addition chain of retimeAll's final reduction.
-        for (std::size_t c = 0; c < n_cfg; ++c) {
-            for (std::size_t g = 0; g < cg; ++g) {
-                const double v = local.groupNs[c * cg + g];
-                result.groupNs[c * groups + first_group + g] = v;
-                result.totalNs[c] += v;
-            }
-            for (std::size_t g = 0; g < cg; ++g) {
-                const std::size_t slab = (g * n_cfg + c) * numStages;
-                for (std::size_t s = 0; s < numStages; ++s) {
-                    result.bottleneckNs[c * numStages + s] +=
-                        hist_ns[slab + s];
-                    result.bottleneckCount[c * numStages + s] +=
-                        hist_count[slab + s];
-                }
-            }
-        }
-    });
-
-    runtime_detail::noteSweepPass(
-        n_cfg, n_cfg * stream.drawCount(),
         runtime_detail::nowNs() - t0);
     return result;
 }

@@ -33,17 +33,6 @@
  * SweepPath::Engine follow that contract, so their outputs are
  * bit-identical and A/B-comparable; GWS_NAIVE_SWEEP=1 forces the
  * naive path process-wide for SweepPath::Auto callers.
- *
- * SweepPath::Streamed is the out-of-core variant: retimeAllStreamed()
- * runs the same kernels chunk by chunk over a StreamingWorkTrace
- * (fused with the build/spill/load of the bounded window) and folds
- * every accumulator — trace totals, histogram slabs — in ascending
- * group order, chunk by chunk. Because chunks carry whole groups in
- * ascending order, each accumulator sees the exact addition chain of
- * the in-memory merge, so the streamed results are bit-identical to
- * retimeAll() at any chunk size and thread count. Auto-path callers
- * switch to it when the flattened trace would exceed the memory
- * budget (sweepUsesStreamedPath).
  */
 
 #ifndef GWS_CORE_SWEEP_HH
@@ -53,9 +42,7 @@
 #include <vector>
 
 #include "core/subset_pipeline.hh"
-#include "gpusim/streaming_work_trace.hh"
 #include "gpusim/work_trace.hh"
-#include "partition/shards.hh"
 
 namespace gws {
 
@@ -72,26 +59,10 @@ enum class SweepPath : std::uint8_t
 
     /** Blocked multi-config kernel over the SoA columns. */
     Engine = 2,
-
-    /** Out-of-core chunked path (retimeAllStreamed); Auto callers
-     *  take it when the trace exceeds the memory budget. */
-    Streamed = 3,
 };
 
-/**
- * Resolve a path against GWS_NAIVE_SWEEP (read once per process).
- * For SweepPath::Streamed this selects the *inner* per-chunk kernel,
- * so the naive/engine A/B extends to the out-of-core path.
- */
+/** Resolve a path against GWS_NAIVE_SWEEP (read once per process). */
 bool sweepUsesNaivePath(SweepPath path);
-
-/**
- * True when a sweep over `draw_count` draws should run out of core:
- * always for SweepPath::Streamed, never for the forced in-memory
- * paths, and for Auto exactly when the flattened trace would exceed
- * the memory budget (shouldStreamWorkTrace).
- */
-bool sweepUsesStreamedPath(SweepPath path, std::size_t draw_count);
 
 /** retimeAll() options. */
 struct SweepConfig
@@ -106,24 +77,6 @@ struct SweepConfig
      * only group/trace totals matter.
      */
     bool perDraw = false;
-
-    /** Groups per parallel chunk (0 = 1, one frame/unit per chunk).
-     *  Only the naive partition path chunks by count; the balanced
-     *  path derives cost-balanced shard bounds instead. */
-    std::size_t groupGrain = 0;
-
-    /**
-     * How groups are sharded across threads: Balanced uses
-     * cost-balanced contiguous shards from partitionTraceShards()
-     * (equal per-shard draw work, so skewed traces keep every thread
-     * busy), Naive the uniform groupGrain chunking, Auto the process
-     * default (GWS_NAIVE_SHARD / setDefaultPartitionPath). Sharding
-     * is pure scheduling — results are bit-identical on every path.
-     */
-    PartitionPath partition = PartitionPath::Auto;
-
-    /** Shard count for the balanced path (0 = defaultShardCount). */
-    std::size_t shardCount = 0;
 };
 
 /** All totals of one retimeAll() pass. */
@@ -187,19 +140,6 @@ struct SweepResult
 SweepResult retimeAll(const WorkTrace &trace,
                       std::span<const GpuConfig> configs,
                       const SweepConfig &config = {});
-
-/**
- * Out-of-core retimeAll: evaluate all draws × all configs chunk by
- * chunk over a streaming work trace, fused with the stream's
- * build→spill (first pass) or load (later passes) so no full derived
- * column is ever materialised. Same capacity-hash contract as
- * retimeAll; SweepConfig::perDraw is rejected (a per-draw matrix is
- * exactly the allocation the streamed path exists to avoid). Results
- * are bit-identical to retimeAll on the flattened trace.
- */
-SweepResult retimeAllStreamed(StreamingWorkTrace &stream,
-                              std::span<const GpuConfig> configs,
-                              const SweepConfig &config = {});
 
 /**
  * Flatten a subset's representative draws: one group per SubsetUnit,

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "gpusim/draw_work_cache.hh"
-#include "partition/shards.hh"
 #include "runtime/counters.hh"
 #include "runtime/parallel_for.hh"
 #include "util/logging.hh"
@@ -207,38 +206,17 @@ TraceCost
 GpuSimulator::simulateTrace(const Trace &trace) const
 {
     // Frames are independent, so the whole trace fans out across
-    // threads; a frame simulated on a pool worker prices its draws
-    // inline (nested loops degrade gracefully). On the balanced
-    // partition path frames are grouped into equal-draw-count shards
-    // (skewed traces leave no thread pinned to one heavy chunk); the
-    // naive path keeps one frame per chunk. Either way frame costs
-    // land at their index and the totals are reduced in frame order
-    // afterwards, so the paths are bit-identical.
+    // threads, one frame per chunk; a frame simulated on a pool worker
+    // prices its draws inline (nested loops degrade gracefully). Frame
+    // costs land at their index and the totals are reduced in frame
+    // order afterwards, so the result is bit-identical at any thread
+    // count.
     ScopedRegion region("gpusim.simulateTrace");
     TraceCost tc;
-    const std::size_t n = trace.frameCount();
-    if (!partitionUsesNaivePath(PartitionPath::Auto) && n > 1 &&
-        resolvedThreadCount() > 1) {
-        std::vector<double> costs(n);
-        for (std::size_t i = 0; i < n; ++i)
-            costs[i] =
-                static_cast<double>(trace.frame(i).draws().size()) +
-                1.0;
-        const ShardPlan plan = partitionTraceShards(
-            costs, defaultShardCount(n), defaultPartitionCostFn());
-        tc.frames.resize(n);
-        parallelShards(plan.bounds,
-                       [&](std::size_t b, std::size_t e) {
-                           for (std::size_t i = b; i < e; ++i)
-                               tc.frames[i] = simulateFrame(
-                                   trace, trace.frame(i));
-                       });
-    } else {
-        tc.frames = parallelMap<FrameCost>(
-            0, n, 1, [&](std::size_t i) {
-                return simulateFrame(trace, trace.frame(i));
-            });
-    }
+    tc.frames = parallelMap<FrameCost>(
+        0, trace.frameCount(), 1, [&](std::size_t i) {
+            return simulateFrame(trace, trace.frame(i));
+        });
     for (const FrameCost &fc : tc.frames) {
         tc.totalNs += fc.totalNs;
         tc.drawsSimulated += fc.drawNs.size();

@@ -81,12 +81,6 @@ WorkTrace::work(std::size_t i) const
     return w;
 }
 
-std::size_t
-WorkTrace::residentBytes(std::size_t rows)
-{
-    return numColumns * paddedStride(rows) * sizeof(double);
-}
-
 double
 WorkTrace::totalDramBytes() const
 {

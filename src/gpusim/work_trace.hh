@@ -122,14 +122,6 @@ class WorkTrace
     /** Serial left-to-right sum of the DRAM column in row order. */
     double totalDramBytes() const;
 
-    /**
-     * Column-slab bytes a work trace with `rows` rows keeps resident
-     * (all raw + derived columns, alignment padding included). The
-     * estimate the streaming engine compares against the memory
-     * budget when deciding whether a sweep must go out of core.
-     */
-    static std::size_t residentBytes(std::size_t rows);
-
   private:
     static constexpr std::size_t numColumns = 16;
 

@@ -1,11 +1,9 @@
 /**
  * @file
- * Process peak-RSS probe for the out-of-core memory story: reads the
- * kernel's resident-set high-water mark (Linux: VmHWM from
- * /proc/self/status) and publishes it as the `gws.mem.peak_rss_bytes`
- * gauge. Every bench reports it in the gws.bench.v1 envelope, and the
- * streamed-sweep CI smoke job asserts it stays under the enforced cap
- * — the flat-RSS proof the streaming engine exists for.
+ * Process peak-RSS probe: reads the kernel's resident-set high-water
+ * mark (Linux: VmHWM from /proc/self/status) and publishes it as the
+ * `gws.mem.peak_rss_bytes` gauge. Every bench reports it in the
+ * gws.bench.v1 envelope.
  *
  * On platforms without the procfs counter the probe degrades to 0
  * (never a guess), so callers can gate on a zero value.

@@ -11,7 +11,7 @@ namespace {
 /**
  * Floor for node weights: a zero-cost node would make balance ratios
  * (max part weight / ideal) degenerate when a part holds only such
- * nodes, and contributes nothing to any cost function. Small enough
+ * nodes, and contributes nothing to the objective. Small enough
  * to never distort a real cost, large enough to stay a normal double.
  */
 constexpr double kMinNodeWeight = 1e-9;
@@ -46,36 +46,6 @@ PartGraph::validate() const
                        i);
         }
     }
-}
-
-PartGraph
-buildChainGraph(const std::vector<double> &costs)
-{
-    PartGraph g;
-    const std::size_t n = costs.size();
-    g.chain = true;
-    g.vwgt.reserve(n);
-    for (double c : costs)
-        g.vwgt.push_back(std::max(c, kMinNodeWeight));
-
-    g.xadj.assign(1, 0);
-    g.xadj.reserve(n + 1);
-    if (n > 1) {
-        g.adj.reserve(2 * (n - 1));
-        g.ewgt.reserve(2 * (n - 1));
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-        if (i > 0) {
-            g.adj.push_back(static_cast<std::uint32_t>(i - 1));
-            g.ewgt.push_back(1.0);
-        }
-        if (i + 1 < n) {
-            g.adj.push_back(static_cast<std::uint32_t>(i + 1));
-            g.ewgt.push_back(1.0);
-        }
-        g.xadj.push_back(g.adj.size());
-    }
-    return g;
 }
 
 PartGraph

@@ -3,21 +3,11 @@
  * The weighted-graph substrate of the multilevel partitioner.
  *
  * A PartGraph is a plain CSR adjacency structure with double node and
- * edge weights — node weights carry *cost* (draws to simulate, rows to
- * retime, work units), edge weights carry *affinity* (frame adjacency,
- * feature-space similarity). Two builders cover the library's uses:
- *
- *  - buildChainGraph(): a path graph over a cost sequence, the load-
- *    balancer input. Partitioning a chain with contiguity preserved
- *    yields frame-aligned, equal-cost shards (partition/shards.hh).
- *  - buildGraph(): a general graph from an explicit symmetric edge
- *    list, the clustering-family input (cluster/graph_partition.cc
- *    feeds it a k-NN similarity graph over feature vectors).
- *
- * The `chain` flag records that node order is a path; the multilevel
- * partitioner preserves it through coarsening and restricts refinement
- * to interval-endpoint moves, so every part of a chain partition comes
- * out contiguous.
+ * edge weights — node weights carry *cost* (points per coarse node),
+ * edge weights carry *affinity* (feature-space similarity).
+ * buildGraph() makes one from an explicit symmetric edge list; the
+ * graph-partition clustering family (cluster/graph_partition.cc) feeds
+ * it a k-NN similarity graph over feature vectors.
  */
 
 #ifndef GWS_PARTITION_GRAPH_HH
@@ -44,12 +34,6 @@ struct PartGraph
     /** Node weights (cost, > 0). */
     std::vector<double> vwgt;
 
-    /**
-     * Nodes form a path in index order (edges only between i and
-     * i+1), so partitions must stay contiguous intervals.
-     */
-    bool chain = false;
-
     /** Number of nodes. */
     std::size_t nodeCount() const { return xadj.size() - 1; }
 
@@ -62,13 +46,6 @@ struct PartGraph
     /** Panics unless the CSR structure is self-consistent. */
     void validate() const;
 };
-
-/**
- * Path graph over a cost sequence: node i weighs costs[i] (clamped up
- * to a tiny positive floor so zero-cost nodes never break balance
- * ratios), with unit-weight edges between consecutive nodes.
- */
-PartGraph buildChainGraph(const std::vector<double> &costs);
 
 /** One undirected edge of buildGraph()'s input. */
 struct GraphEdge

@@ -5,46 +5,37 @@
 #include <limits>
 
 #include "obs/obs.hh"
-#include "util/logging.hh"
 
 namespace gws {
-
-const char *
-toString(PartitionCostFn fn)
-{
-    switch (fn) {
-      case PartitionCostFn::Balanced:
-        return "balanced";
-      case PartitionCostFn::CriticalPath:
-        return "critical_path";
-      case PartitionCostFn::Greedy:
-        return "greedy";
-      case PartitionCostFn::MinMaxWorkloads:
-        return "minmax";
-    }
-    GWS_PANIC("unknown partition cost fn ", static_cast<int>(fn));
-}
-
-bool
-parsePartitionCostFn(const std::string &text, PartitionCostFn *out)
-{
-    if (text == "balanced")
-        *out = PartitionCostFn::Balanced;
-    else if (text == "critical_path")
-        *out = PartitionCostFn::CriticalPath;
-    else if (text == "greedy")
-        *out = PartitionCostFn::Greedy;
-    else if (text == "minmax")
-        *out = PartitionCostFn::MinMaxWorkloads;
-    else
-        return false;
-    return true;
-}
 
 namespace {
 
 constexpr std::uint32_t kUnassigned =
     std::numeric_limits<std::uint32_t>::max();
+
+/**
+ * Max part weight as a multiple of the ideal (total / parts).
+ * Deliberately loose: natural draw clusters are heavily skewed (a few
+ * repeated-state clusters absorb most draws), and forcing near-equal
+ * sizes would cut through similarity structure and mix dissimilar
+ * draws into one cluster.
+ */
+constexpr double kBalanceTolerance = 8.0;
+
+/**
+ * Stop coarsening below parts × this many nodes. Close to one node
+ * per part: heavy-edge matching merges near-duplicate points, so the
+ * surviving coarse nodes are tight similarity groups and make far
+ * better part seeds than raw points (whose unit weights leave seed
+ * choice to index order).
+ */
+constexpr std::size_t kCoarsenNodesPerPart = 2;
+
+/** Hard cap on coarsening levels. */
+constexpr std::size_t kMaxCoarsenLevels = 32;
+
+/** Max refinement passes per level (each stops when no move helps). */
+constexpr std::size_t kRefinePasses = 8;
 
 /** Largest graph the O(n·E) FM escape pass is worth running on. */
 constexpr std::size_t kEscapeMaxNodes = 4096;
@@ -63,8 +54,7 @@ struct CoarseLevel
  * Heavy-edge matching + contraction. Nodes are visited in ascending
  * index order; each unmatched node pairs with its heaviest-edge
  * unmatched neighbor (first wins on ties, i.e. the lowest id, because
- * adjacency runs ascend). Coarse ids are issued in visit order, so a
- * chain stays a chain with its node order preserved.
+ * adjacency runs ascend). Coarse ids are issued in visit order.
  */
 CoarseLevel
 coarsen(const PartGraph &fine)
@@ -109,7 +99,6 @@ coarsen(const PartGraph &fine)
     }
 
     PartGraph &cg = level.graph;
-    cg.chain = fine.chain;
     cg.vwgt.assign(coarse_n, 0.0);
     for (std::size_t i = 0; i < n; ++i)
         cg.vwgt[level.map[i]] += fine.vwgt[i];
@@ -149,44 +138,7 @@ coarsen(const PartGraph &fine)
 }
 
 /**
- * Contiguous initial partition of a chain: greedy prefix fill toward
- * each part's cumulative target, never leaving later parts without a
- * node. The include/exclude decision takes the boundary closer to the
- * target, so refinement starts near the optimum.
- */
-std::vector<std::uint32_t>
-initialChain(const PartGraph &g, std::size_t parts)
-{
-    const std::size_t n = g.nodeCount();
-    const double total = g.totalNodeWeight();
-    std::vector<std::uint32_t> part(n, 0);
-    std::size_t node = 0;
-    double cum = 0.0;
-    for (std::size_t p = 0; p < parts; ++p) {
-        const std::size_t must_leave = parts - p - 1;
-        part[node] = static_cast<std::uint32_t>(p);
-        cum += g.vwgt[node];
-        ++node;
-        const double target = total * static_cast<double>(p + 1) /
-                              static_cast<double>(parts);
-        while (node + must_leave < n) {
-            if (std::abs(cum + g.vwgt[node] - target) <=
-                std::abs(cum - target)) {
-                part[node] = static_cast<std::uint32_t>(p);
-                cum += g.vwgt[node];
-                ++node;
-            } else {
-                break;
-            }
-        }
-    }
-    while (node < n)
-        part[node++] = static_cast<std::uint32_t>(parts - 1);
-    return part;
-}
-
-/**
- * Greedy graph growing for general graphs. Seeds are chosen by
+ * Greedy graph growing. Seeds are chosen by
  * farthest-point sampling: the heaviest node first, then repeatedly
  * the node with the least edge similarity to any seed so far (heavier
  * first on ties). That spreads the seeds across distinct regions of
@@ -198,7 +150,7 @@ initialChain(const PartGraph &g, std::size_t parts)
  * back to the lightest part.
  */
 std::vector<std::uint32_t>
-initialGrow(const PartGraph &g, std::size_t parts, double tolerance)
+initialGrow(const PartGraph &g, std::size_t parts)
 {
     const std::size_t n = g.nodeCount();
     const double ideal =
@@ -250,7 +202,7 @@ initialGrow(const PartGraph &g, std::size_t parts, double tolerance)
         }
         std::uint32_t best = kUnassigned;
         for (std::size_t p = 0; p < parts; ++p) {
-            if (weight[p] + g.vwgt[i] > tolerance * ideal)
+            if (weight[p] + g.vwgt[i] > kBalanceTolerance * ideal)
                 continue;
             if (best == kUnassigned || affinity[p] > affinity[best] ||
                 (affinity[p] == affinity[best] &&
@@ -283,34 +235,28 @@ edgeCut(const PartGraph &g, const std::vector<std::uint32_t> &part)
 
 /**
  * FM-style boundary refinement: greedy single-node moves between
- * neighboring parts, accepted when they strictly improve the cost
- * function's objective (Greedy: strictly reduce the normalized cut
- * under the balance tolerance). Moves never empty a part, and on a
- * chain only interval endpoints have out-of-part neighbors, so
- * contiguity is preserved move by move.
+ * neighboring parts, accepted when they strictly reduce the
+ * normalized edge cut without pushing the destination part past the
+ * balance tolerance. Moves never empty a part.
  */
 class Refiner
 {
   public:
-    Refiner(const PartGraph &g, const PartitionConfig &cfg,
+    Refiner(const PartGraph &g, std::size_t part_count,
             std::vector<std::uint32_t> &part)
-        : graph(g), config(cfg), assignment(part),
-          parts(cfg.parts), weight(parts, 0.0), count(parts, 0)
+        : graph(g), assignment(part), parts(part_count),
+          weight(parts, 0.0), count(parts, 0)
     {
         for (std::size_t i = 0; i < g.nodeCount(); ++i) {
             weight[assignment[i]] += g.vwgt[i];
             ++count[assignment[i]];
         }
-        totalWeight = g.totalNodeWeight();
-        ideal = totalWeight / static_cast<double>(parts);
+        ideal = g.totalNodeWeight() / static_cast<double>(parts);
         totalEdgeWeight = 0.0;
         for (double w : g.ewgt)
             totalEdgeWeight += w;
         totalEdgeWeight = std::max(totalEdgeWeight, 1e-12);
         cut = edgeCut(g, assignment);
-        sumSquares = 0.0;
-        for (double w : weight)
-            sumSquares += w * w;
     }
 
     /**
@@ -321,7 +267,7 @@ class Refiner
     run()
     {
         std::size_t passes = 0;
-        for (std::size_t p = 0; p < config.refinePasses; ++p) {
+        for (std::size_t p = 0; p < kRefinePasses; ++p) {
             ++passes;
             if (pass() > 0)
                 continue;
@@ -364,7 +310,7 @@ class Refiner
             double best_obj = objective();
             for (std::uint32_t dst : touched) {
                 const double obj =
-                    moveObjective(i, src, dst, internal, gain[dst]);
+                    moveObjective(i, dst, internal, gain[dst]);
                 if (obj < best_obj - 1e-12) {
                     best_obj = obj;
                     best = dst;
@@ -434,9 +380,8 @@ class Refiner
                     gain[p] += graph.ewgt[e];
                 }
                 for (std::uint32_t dst : touched) {
-                    const double obj = moveObjective(i, src, dst,
-                                                     internal,
-                                                     gain[dst]);
+                    const double obj =
+                        moveObjective(i, dst, internal, gain[dst]);
                     if (obj < mv_obj - 1e-12) {
                         mv_node = static_cast<std::uint32_t>(i);
                         mv_dst = dst;
@@ -487,59 +432,19 @@ class Refiner
     }
 
     /** Objective of the current assignment (the move baseline). */
-    double
-    objective() const
-    {
-        const double c = cut / totalEdgeWeight;
-        switch (config.costFn) {
-          case PartitionCostFn::Balanced:
-            return sumSquares / (ideal * ideal *
-                                 static_cast<double>(parts)) +
-                   0.1 * c;
-          case PartitionCostFn::CriticalPath:
-            return maxWeight() / ideal + 0.1 * c;
-          case PartitionCostFn::Greedy:
-            return c;
-          case PartitionCostFn::MinMaxWorkloads:
-            return (maxWeight() - minWeight()) / ideal + 0.1 * c;
-        }
-        GWS_PANIC("unknown partition cost fn");
-    }
+    double objective() const { return cut / totalEdgeWeight; }
 
-    /** Objective after moving node i from src to dst. */
+    /**
+     * Objective after moving node i to dst; infinite when
+     * the move would push dst past the balance tolerance.
+     */
     double
-    moveObjective(std::size_t i, std::uint32_t src, std::uint32_t dst,
-                  double internal, double external)
+    moveObjective(std::size_t i, std::uint32_t dst, double internal,
+                  double external) const
     {
-        const double w = graph.vwgt[i];
-        const double cut_delta = internal - external;
-        const double w_src = weight[src] - w;
-        const double w_dst = weight[dst] + w;
-        const double c = (cut + cut_delta) / totalEdgeWeight;
-        switch (config.costFn) {
-          case PartitionCostFn::Balanced: {
-            const double ssq = sumSquares - weight[src] * weight[src] -
-                               weight[dst] * weight[dst] +
-                               w_src * w_src + w_dst * w_dst;
-            return ssq / (ideal * ideal *
-                          static_cast<double>(parts)) +
-                   0.1 * c;
-          }
-          case PartitionCostFn::CriticalPath:
-            return maxWeightWith(src, dst, w_src, w_dst) / ideal +
-                   0.1 * c;
-          case PartitionCostFn::Greedy:
-            // Hard balance constraint instead of a balance term.
-            if (w_dst > config.balanceTolerance * ideal)
-                return std::numeric_limits<double>::infinity();
-            return c;
-          case PartitionCostFn::MinMaxWorkloads:
-            return (maxWeightWith(src, dst, w_src, w_dst) -
-                    minWeightWith(src, dst, w_src, w_dst)) /
-                       ideal +
-                   0.1 * c;
-        }
-        GWS_PANIC("unknown partition cost fn");
+        if (weight[dst] + graph.vwgt[i] > kBalanceTolerance * ideal)
+            return std::numeric_limits<double>::infinity();
+        return (cut + (internal - external)) / totalEdgeWeight;
     }
 
     void
@@ -547,69 +452,22 @@ class Refiner
           double internal, double external)
     {
         const double w = graph.vwgt[i];
-        sumSquares += -weight[src] * weight[src] -
-                      weight[dst] * weight[dst];
         weight[src] -= w;
         weight[dst] += w;
-        sumSquares += weight[src] * weight[src] +
-                      weight[dst] * weight[dst];
         --count[src];
         ++count[dst];
         cut += internal - external;
         assignment[i] = dst;
     }
 
-    double
-    maxWeight() const
-    {
-        double m = weight[0];
-        for (double w : weight)
-            m = std::max(m, w);
-        return m;
-    }
-
-    double
-    minWeight() const
-    {
-        double m = weight[0];
-        for (double w : weight)
-            m = std::min(m, w);
-        return m;
-    }
-
-    double
-    maxWeightWith(std::uint32_t src, std::uint32_t dst, double w_src,
-                  double w_dst) const
-    {
-        double m = std::max(w_src, w_dst);
-        for (std::size_t p = 0; p < parts; ++p)
-            if (p != src && p != dst)
-                m = std::max(m, weight[p]);
-        return m;
-    }
-
-    double
-    minWeightWith(std::uint32_t src, std::uint32_t dst, double w_src,
-                  double w_dst) const
-    {
-        double m = std::min(w_src, w_dst);
-        for (std::size_t p = 0; p < parts; ++p)
-            if (p != src && p != dst)
-                m = std::min(m, weight[p]);
-        return m;
-    }
-
     const PartGraph &graph;
-    const PartitionConfig &config;
     std::vector<std::uint32_t> &assignment;
     std::size_t parts;
     std::vector<double> weight;
     std::vector<std::size_t> count;
-    double totalWeight = 0.0;
     double ideal = 1.0;
     double totalEdgeWeight = 1.0;
     double cut = 0.0;
-    double sumSquares = 0.0;
 };
 
 } // namespace
@@ -622,16 +480,13 @@ multilevelPartition(const PartGraph &graph, const PartitionConfig &config)
     if (n == 0)
         return result;
 
-    PartitionConfig cfg = config;
-    cfg.parts = std::clamp<std::size_t>(cfg.parts, 1, n);
-    cfg.coarsenNodesPerPart = std::max<std::size_t>(
-        cfg.coarsenNodesPerPart, 1);
-    result.parts = cfg.parts;
+    const std::size_t parts = std::clamp<std::size_t>(config.parts, 1, n);
+    result.parts = parts;
 
     // Trivial shapes need no machinery (and k == n must be exact).
-    if (cfg.parts == 1) {
+    if (parts == 1) {
         result.assignment.assign(n, 0);
-    } else if (cfg.parts == n) {
+    } else if (parts == n) {
         result.assignment.resize(n);
         for (std::size_t i = 0; i < n; ++i)
             result.assignment[i] = static_cast<std::uint32_t>(i);
@@ -642,10 +497,9 @@ multilevelPartition(const PartGraph &graph, const PartitionConfig &config)
         {
             obs::SpanScope span("part.coarsen");
             const PartGraph *cur = &graph;
-            const std::size_t stop =
-                cfg.parts * cfg.coarsenNodesPerPart;
+            const std::size_t stop = parts * kCoarsenNodesPerPart;
             while (cur->nodeCount() > stop &&
-                   levels.size() < cfg.maxCoarsenLevels) {
+                   levels.size() < kMaxCoarsenLevels) {
                 CoarseLevel level = coarsen(*cur);
                 const std::size_t coarse_n = level.graph.nodeCount();
                 if (coarse_n * 20 > cur->nodeCount() * 19)
@@ -660,10 +514,7 @@ multilevelPartition(const PartGraph &graph, const PartitionConfig &config)
         std::vector<std::uint32_t> part;
         {
             obs::SpanScope span("part.init");
-            part = coarsest.chain
-                       ? initialChain(coarsest, cfg.parts)
-                       : initialGrow(coarsest, cfg.parts,
-                                     cfg.balanceTolerance);
+            part = initialGrow(coarsest, parts);
         }
 
         // Uncoarsen, refining at every level (coarsest included).
@@ -673,13 +524,13 @@ multilevelPartition(const PartGraph &graph, const PartitionConfig &config)
                 const PartGraph &fine =
                     l == 0 ? graph : levels[l - 1].graph;
                 result.refinePasses +=
-                    Refiner(levels[l].graph, cfg, part).run();
+                    Refiner(levels[l].graph, parts, part).run();
                 std::vector<std::uint32_t> fine_part(fine.nodeCount());
                 for (std::size_t i = 0; i < fine.nodeCount(); ++i)
                     fine_part[i] = part[levels[l].map[i]];
                 part = std::move(fine_part);
             }
-            result.refinePasses += Refiner(graph, cfg, part).run();
+            result.refinePasses += Refiner(graph, parts, part).run();
         }
         result.coarsenLevels = levels.size();
         result.assignment = std::move(part);

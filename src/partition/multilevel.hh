@@ -1,32 +1,17 @@
 /**
  * @file
- * METIS-style multilevel graph partitioner with pluggable cost
- * functions: coarsen by heavy-edge matching, partition the coarsest
- * graph, then uncoarsen with Fiduccia–Mattheyses-style boundary
- * refinement at every level.
+ * METIS-style multilevel graph partitioner: coarsen by heavy-edge
+ * matching, partition the coarsest graph by greedy growing, then
+ * uncoarsen with Fiduccia–Mattheyses-style boundary refinement at
+ * every level.
  *
- * The partitioner serves two very different consumers with one
- * algorithm:
- *
- *  - the *load balancer* (partition/shards.hh) partitions a chain
- *    graph of per-group costs into equal-work contiguous shards for
- *    the sweep/simulate hot paths;
- *  - the *clustering family* (cluster/graph_partition.hh) partitions
- *    a k-NN feature-similarity graph into balanced clusters, the
- *    methodology check next to k-means / leader / agglomerative.
- *
- * Cost functions follow the workload-generator family of the
- * npu_compiler pass the ROADMAP cites:
- *
- *  - Balanced:        drive every part toward the ideal weight (sum of
- *                     squared deviations), cut as a tiebreaker.
- *  - CriticalPath:    minimize the heaviest part — the critical path
- *                     of a parallel schedule over the parts.
- *  - Greedy:          classic min-cut refinement under the balance
- *                     tolerance (greedy initial growth, accept only
- *                     cut-improving moves that respect the tolerance).
- *  - MinMaxWorkloads: minimize the spread between the heaviest and
- *                     lightest part.
+ * Its consumer is the graph-partition clustering family
+ * (cluster/graph_partition.hh), which partitions a k-NN
+ * feature-similarity graph into clusters — the methodology check next
+ * to k-means / leader / agglomerative. The objective is therefore the
+ * classic min-cut one: refinement accepts only moves that strictly
+ * reduce the edge cut (cut edges are weak similarities) while no part
+ * grows past a loose balance tolerance.
  *
  * Everything is deterministic: node visits ascend by index, ties break
  * toward the lowest id, and no randomness is involved — equal inputs
@@ -36,57 +21,15 @@
 #ifndef GWS_PARTITION_MULTILEVEL_HH
 #define GWS_PARTITION_MULTILEVEL_HH
 
-#include <string>
-
 #include "partition/graph.hh"
 
 namespace gws {
-
-/** Objective a partition is optimized for. */
-enum class PartitionCostFn : std::uint8_t
-{
-    /** Equalize all part weights (sum of squared deviations). */
-    Balanced = 0,
-
-    /** Minimize the heaviest part (the parallel critical path). */
-    CriticalPath = 1,
-
-    /** Minimize edge cut under the balance tolerance. */
-    Greedy = 2,
-
-    /** Minimize max − min part weight. */
-    MinMaxWorkloads = 3,
-};
-
-/** Printable cost-function name ("balanced", ...). */
-const char *toString(PartitionCostFn fn);
-
-/**
- * Parse a cost-function name ("balanced", "critical_path", "greedy",
- * "minmax"). Returns false (and leaves *out alone) on anything else.
- */
-bool parsePartitionCostFn(const std::string &text, PartitionCostFn *out);
 
 /** Multilevel partitioner knobs. */
 struct PartitionConfig
 {
     /** Target part count (clamped to [1, nodes]). */
     std::size_t parts = 2;
-
-    /** Objective. */
-    PartitionCostFn costFn = PartitionCostFn::Balanced;
-
-    /** Max allowed part weight as a multiple of the ideal weight. */
-    double balanceTolerance = 1.10;
-
-    /** Stop coarsening below parts × this many nodes. */
-    std::size_t coarsenNodesPerPart = 8;
-
-    /** Hard cap on coarsening levels. */
-    std::size_t maxCoarsenLevels = 32;
-
-    /** Max refinement passes per level (each stops when no move helps). */
-    std::size_t refinePasses = 8;
 };
 
 /** One multilevel partition. */
@@ -116,8 +59,7 @@ struct PartitionResult
 
 /**
  * Partition `graph` into config.parts parts. Parts are guaranteed
- * non-empty; on a chain graph every part is a contiguous interval.
- * Emits part.coarsen / part.init / part.refine spans and the
+ * non-empty. Emits part.coarsen / part.init / part.refine spans and the
  * gws.part.* metrics.
  */
 PartitionResult multilevelPartition(const PartGraph &graph,

@@ -123,7 +123,7 @@ struct MetricsData
      * match through the same charset mapping the exporter applies
      * (dots -> underscores, counters' "_total" suffix), so callers
      * always query with the registry spelling, e.g.
-     * "gws.part.shard_imbalance".
+     * "gws.part.imbalance".
      */
     const MetricRow *find(const std::string &name) const;
 

@@ -220,16 +220,10 @@ renderReportHtml(const ReportModel &model)
     }
     os << "</section>\n";
 
-    openPanel(os, "panel-shards", "Shard balance (gws.part.*)");
+    openPanel(os, "panel-partition", "Graph partitioner (gws.part.*)");
     if (!model.hasMetrics ||
         !metricsTable(os, model.metrics, "gws.part."))
         os << "<p class=\"empty\">no partitioner metrics</p>\n";
-    os << "</section>\n";
-
-    openPanel(os, "panel-streams", "Streaming (gws.stream.*)");
-    if (!model.hasMetrics ||
-        !metricsTable(os, model.metrics, "gws.stream."))
-        os << "<p class=\"empty\">no streaming metrics</p>\n";
     os << "</section>\n";
 
     openPanel(os, "panel-serve", "Serving (gws.serve.*)");

@@ -13,8 +13,7 @@
  *   panel-bottlenecks      attribution table + critical-path KPIs
  *   panel-heatmap          sweep heatmaps from bench envelopes
  *   panel-cluster-quality  error/efficiency/outliers per family
- *   panel-shards           gws.part.* metrics
- *   panel-streams          gws.stream.* metrics
+ *   panel-partition        gws.part.* metrics
  *   panel-serve            gws.serve.* (uptime, build, latencies)
  *   panel-benches          envelope summary table
  *

@@ -28,9 +28,6 @@ struct FanOut
     std::size_t grain = 1;
     std::size_t chunks = 0;
 
-    /** Explicit chunk bounds (parallelShards); empty = grain chunks. */
-    std::vector<std::size_t> bounds;
-
     std::function<void(std::size_t, std::size_t)> body;
 
     /** Trace flow id linking the submitter to its chunks (0 = off). */
@@ -57,11 +54,8 @@ struct FanOut
                 next.fetch_add(1, std::memory_order_relaxed);
             if (c >= chunks)
                 return;
-            const std::size_t b =
-                bounds.empty() ? begin + c * grain : bounds[c];
-            const std::size_t e = bounds.empty()
-                                      ? std::min(end, b + grain)
-                                      : bounds[c + 1];
+            const std::size_t b = begin + c * grain;
+            const std::size_t e = std::min(end, b + grain);
             try {
                 obs::SpanScope chunkSpan("runtime.chunk", flowId);
                 body(b, e);
@@ -74,44 +68,6 @@ struct FanOut
         }
     }
 };
-
-/** Fan a prepared FanOut across the pool, wait, rethrow. */
-void
-runFanOut(const std::shared_ptr<FanOut> &fan)
-{
-    fan->errors.resize(fan->chunks);
-    if (obs::traceEnabled()) {
-        fan->flowId = obs::traceNewFlowId();
-        obs::traceFlowStart("parallelFor", fan->flowId);
-    }
-
-    // One helper per extra thread that can hold a chunk; the caller
-    // is the remaining worker.
-    const std::size_t helpers =
-        std::min(resolvedThreadCount(), fan->chunks) - 1;
-    runtime_detail::noteParallelRegion(fan->chunks, helpers);
-    ThreadPool &pool = globalThreadPool();
-    for (std::size_t h = 0; h < helpers; ++h)
-        pool.submit([fan] { fan->drain(); });
-
-    fan->drain();
-
-    {
-        std::unique_lock<std::mutex> lock(fan->mutex);
-        if (fan->completed != fan->chunks) {
-            const std::uint64_t t0 = runtime_detail::nowNs();
-            fan->allDone.wait(lock, [&fan] {
-                return fan->completed == fan->chunks;
-            });
-            runtime_detail::noteSubmitterWait(runtime_detail::nowNs() -
-                                              t0);
-        }
-    }
-
-    for (std::size_t c = 0; c < fan->chunks; ++c)
-        if (fan->errors[c])
-            std::rethrow_exception(fan->errors[c]);
-}
 
 } // namespace
 
@@ -153,32 +109,37 @@ parallelChunks(std::size_t begin, std::size_t end, std::size_t grain,
     fan->grain = g;
     fan->chunks = chunks;
     fan->body = body;
-    runFanOut(fan);
-}
-
-void
-parallelShards(const std::vector<std::size_t> &bounds,
-               const std::function<void(std::size_t, std::size_t)> &body)
-{
-    if (bounds.size() <= 1)
-        return;
-    const std::size_t chunks = bounds.size() - 1;
-    const std::size_t threads = resolvedThreadCount();
-
-    if (threads <= 1 || chunks <= 1 || ThreadPool::onWorkerThread()) {
-        // Inline path: same shard structure in ascending order, so
-        // results match the fanned-out path by construction.
-        runtime_detail::noteInlineRegion(chunks);
-        for (std::size_t c = 0; c < chunks; ++c)
-            body(bounds[c], bounds[c + 1]);
-        return;
+    fan->errors.resize(chunks);
+    if (obs::traceEnabled()) {
+        fan->flowId = obs::traceNewFlowId();
+        obs::traceFlowStart("parallelFor", fan->flowId);
     }
 
-    auto fan = std::make_shared<FanOut>();
-    fan->chunks = chunks;
-    fan->bounds = bounds;
-    fan->body = body;
-    runFanOut(fan);
+    // One helper per extra thread that can hold a chunk; the caller
+    // is the remaining worker.
+    const std::size_t helpers = std::min(threads, chunks) - 1;
+    runtime_detail::noteParallelRegion(chunks, helpers);
+    ThreadPool &pool = globalThreadPool();
+    for (std::size_t h = 0; h < helpers; ++h)
+        pool.submit([fan] { fan->drain(); });
+
+    fan->drain();
+
+    {
+        std::unique_lock<std::mutex> lock(fan->mutex);
+        if (fan->completed != chunks) {
+            const std::uint64_t t0 = runtime_detail::nowNs();
+            fan->allDone.wait(lock, [&fan] {
+                return fan->completed == fan->chunks;
+            });
+            runtime_detail::noteSubmitterWait(runtime_detail::nowNs() -
+                                              t0);
+        }
+    }
+
+    for (std::size_t c = 0; c < chunks; ++c)
+        if (fan->errors[c])
+            std::rethrow_exception(fan->errors[c]);
 }
 
 } // namespace gws

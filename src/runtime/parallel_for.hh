@@ -51,19 +51,6 @@ void parallelChunks(std::size_t begin, std::size_t end, std::size_t grain,
                     const std::function<void(std::size_t, std::size_t)>
                         &body);
 
-/**
- * Run body(bounds[s], bounds[s+1]) for every shard s of an explicit,
- * ascending bounds vector (bounds.size() - 1 shards; typically a
- * cost-balanced ShardPlan from partition/shards.hh), in parallel on
- * the global pool. The same determinism contract as parallelChunks
- * applies — shard boundaries come from the caller, never from the
- * thread count — and the same inline path handles threads = 1, a
- * single shard, and nested parallelism.
- */
-void parallelShards(const std::vector<std::size_t> &bounds,
-                    const std::function<void(std::size_t, std::size_t)>
-                        &body);
-
 /** Run fn(i) for every i in [begin, end); see parallelChunks. */
 template <typename Fn>
 void

@@ -15,7 +15,6 @@
 #ifndef GWS_UTIL_CODEC_HH
 #define GWS_UTIL_CODEC_HH
 
-#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <istream>
@@ -125,23 +124,6 @@ class ByteWriter
         u64(bits);
     }
 
-    /**
-     * Append `n` doubles as consecutive little-endian f64 values.
-     * Bulk path for the column formats (wtrc): one append on
-     * little-endian hosts, bitwise identical to n f64() calls.
-     */
-    void
-    f64Array(const double *v, std::size_t n)
-    {
-        if constexpr (std::endian::native == std::endian::little) {
-            buf.append(reinterpret_cast<const char *>(v),
-                       n * sizeof(double));
-        } else {
-            for (std::size_t i = 0; i < n; ++i)
-                f64(v[i]);
-        }
-    }
-
     void
     str(const std::string &s)
     {
@@ -226,24 +208,6 @@ class ByteReader
                              std::to_string(v),
                          static_cast<std::int64_t>(pos - 1));
         return v != 0;
-    }
-
-    /**
-     * Read `n` consecutive little-endian f64 values into `dst`. One
-     * bounds check and one copy on little-endian hosts; bitwise
-     * identical to n f64() calls (NaN payloads included).
-     */
-    void
-    f64Array(double *dst, std::size_t n)
-    {
-        need(n * sizeof(double));
-        if constexpr (std::endian::native == std::endian::little) {
-            std::memcpy(dst, buf.data() + pos, n * sizeof(double));
-            pos += n * sizeof(double);
-        } else {
-            for (std::size_t i = 0; i < n; ++i)
-                dst[i] = f64();
-        }
     }
 
     std::string

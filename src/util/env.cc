@@ -69,16 +69,4 @@ envDouble(const char *name, double fallback)
     return d;
 }
 
-std::string
-envString(const char *name, const std::string &fallback)
-{
-    const char *raw = std::getenv(name);
-    if (raw == nullptr)
-        return fallback;
-    std::string v{trim(raw)};
-    if (v.empty())
-        return fallback;
-    return v;
-}
-
 } // namespace gws

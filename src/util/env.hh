@@ -12,7 +12,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 
 namespace gws {
 
@@ -37,15 +36,6 @@ std::size_t envSize(const char *name, std::size_t fallback);
  * (nan/inf) warns and returns `fallback`.
  */
 double envDouble(const char *name, double fallback);
-
-/**
- * Read a string knob, trimmed of surrounding whitespace. Unset or
- * empty (after trimming) returns `fallback`. Validation is the
- * caller's job — only the caller knows the accepted vocabulary — but
- * callers are expected to GWS_WARN and fall back on unparseable
- * values, like the readers above do.
- */
-std::string envString(const char *name, const std::string &fallback);
 
 } // namespace gws
 

@@ -2,10 +2,10 @@
  * @file
  * Thread-count determinism regression tests — the ordered-reduction
  * contract of src/runtime applied end to end. Every pipeline layer
- * (trace simulation, k-means, the workload-subset pipeline) must
- * produce bit-identical floating-point results at threads = 1 and
- * threads = 8; any drift means a reduction started depending on
- * completion order.
+ * (trace simulation, sweep retiming, k-means, the workload-subset
+ * pipeline) must produce bit-identical floating-point results at
+ * threads = 1 and threads = 8; any drift means a reduction started
+ * depending on completion order.
  */
 
 #include <gtest/gtest.h>
@@ -14,8 +14,11 @@
 
 #include "cluster/kmeans.hh"
 #include "core/subset_pipeline.hh"
+#include "core/sweep.hh"
 #include "features/extractor.hh"
+#include "gpusim/draw_work_cache.hh"
 #include "gpusim/gpu_simulator.hh"
+#include "gpusim/work_trace.hh"
 #include "runtime/runtime.hh"
 #include "synth/generator.hh"
 
@@ -30,6 +33,19 @@ testTrace()
         GameGenerator(builtinProfile("shock1", SuiteScale::Ci))
             .generate();
     return t;
+}
+
+void
+expectSameSweep(const SweepResult &a, const SweepResult &b)
+{
+    EXPECT_EQ(a.configCount, b.configCount);
+    EXPECT_EQ(a.groupCount, b.groupCount);
+    EXPECT_EQ(a.drawCount, b.drawCount);
+    EXPECT_EQ(a.totalNs, b.totalNs);
+    EXPECT_EQ(a.groupNs, b.groupNs);
+    EXPECT_EQ(a.bottleneckNs, b.bottleneckNs);
+    EXPECT_EQ(a.bottleneckCount, b.bottleneckCount);
+    EXPECT_EQ(a.drawNs, b.drawNs);
 }
 
 class DeterminismTest : public ::testing::Test
@@ -77,6 +93,51 @@ TEST_F(DeterminismTest, SimulateTraceIsBitIdenticalAcrossThreadCounts)
         ASSERT_EQ(fa.bottleneckCount, fb.bottleneckCount)
             << "frame " << f;
     }
+}
+
+TEST_F(DeterminismTest, RetimeAllClockSweepIsBitIdenticalAcrossThreadCounts)
+{
+    // The clock-only kernel with per-draw costs recorded, the shape
+    // the frequency-scaling and DVFS subset passes run.
+    const Trace &trace = testTrace();
+    const GpuSimulator sim(makeGpuPreset("baseline"));
+    const WorkTrace wt = buildWorkTrace(trace, sim);
+    const std::vector<GpuConfig> points = clockSweepConfigs(
+        makeGpuPreset("baseline"), {0.6, 0.9, 1.0, 1.3, 1.7, 2.0});
+    SweepConfig cfg;
+    cfg.path = SweepPath::Engine;
+    cfg.perDraw = true;
+
+    const SweepResult a =
+        at(1, [&] { return retimeAll(wt, points, cfg); });
+    const SweepResult b =
+        at(8, [&] { return retimeAll(wt, points, cfg); });
+    ASSERT_EQ(a.drawNs.size(), points.size() * trace.totalDraws());
+    expectSameSweep(a, b);
+}
+
+TEST_F(DeterminismTest, RetimeAllCapacityGroupIsBitIdenticalAcrossThreadCounts)
+{
+    // Designs that share a capacity hash but not their throughput
+    // rates: the generic multi-config kernel pathfinding runs.
+    const Trace &trace = testTrace();
+    const std::vector<GpuConfig> designs = {makeGpuPreset("baseline"),
+                                            makeGpuPreset("wide"),
+                                            makeGpuPreset("fastmem")};
+    for (const GpuConfig &d : designs)
+        ASSERT_EQ(capacityConfigHash(d),
+                  capacityConfigHash(designs.front()))
+            << d.name;
+    const GpuSimulator sim(designs.front());
+    const WorkTrace wt = buildWorkTrace(trace, sim);
+    SweepConfig cfg;
+    cfg.path = SweepPath::Engine;
+
+    const SweepResult a =
+        at(1, [&] { return retimeAll(wt, designs, cfg); });
+    const SweepResult b =
+        at(8, [&] { return retimeAll(wt, designs, cfg); });
+    expectSameSweep(a, b);
 }
 
 TEST_F(DeterminismTest, KMeansIsBitIdenticalAcrossThreadCounts)

@@ -14,7 +14,6 @@
 #include "synth/generator.hh"
 #include "testing/fuzz_harness.hh"
 #include "trace/trace_io.hh"
-#include "trace/wtrc_io.hh"
 #include "util/rng.hh"
 
 namespace gws {
@@ -46,35 +45,6 @@ goodSubsetBlob()
         buildWorkloadSubset(sampleTrace(), SubsetConfig{});
     std::ostringstream oss(std::ios::binary);
     writeSubset(s, oss);
-    return oss.str();
-}
-
-std::string
-goodWtrcBlob()
-{
-    // A three-chunk container with uneven group sizes, column values
-    // drawn from the project Rng so the blob is deterministic.
-    std::ostringstream oss(std::ios::binary);
-    WtrcWriter writer(oss, 0x5eedc0deULL);
-    Rng rng(42);
-    const std::vector<std::vector<std::uint32_t>> chunk_groups = {
-        {3, 1, 4}, {2, 2}, {5},
-    };
-    for (const auto &sizes : chunk_groups) {
-        std::size_t rows = 0;
-        for (std::uint32_t s : sizes)
-            rows += s;
-        std::vector<std::vector<double>> cols(
-            wtrcColumnCount, std::vector<double>(rows));
-        const double *col_ptrs[wtrcColumnCount];
-        for (std::size_t c = 0; c < wtrcColumnCount; ++c) {
-            for (std::size_t r = 0; r < rows; ++r)
-                cols[c][r] = static_cast<double>(rng.index(1u << 20));
-            col_ptrs[c] = cols[c].data();
-        }
-        writer.appendChunk(sizes, col_ptrs, rows);
-    }
-    writer.finish();
     return oss.str();
 }
 
@@ -120,59 +90,6 @@ TEST(FuzzIo, SubsetFormatSurvivesTenThousandMutations)
 {
     const auto cfg = testConfig();
     checkReport(fuzz::fuzzSubsetFormat(goodSubsetBlob(), cfg), cfg);
-}
-
-TEST(FuzzIo, WtrcFormatSurvivesTenThousandMutations)
-{
-    const auto cfg = testConfig();
-    const auto rep = fuzz::fuzzWtrcFormat(goodWtrcBlob(), cfg);
-    SCOPED_TRACE(rep.summary());
-    EXPECT_EQ(rep.iterations, cfg.iterations);
-    EXPECT_EQ(rep.failures, 0u);
-    EXPECT_TRUE(rep.ok());
-
-    // Unlike the single-frame formats, most of a wtrc blob is column
-    // doubles where any resealed bit pattern is a valid value, so the
-    // acceptance rate is high; assert both outcome classes appear and
-    // partition the run, not a specific rejection ratio.
-    EXPECT_GT(rep.typedErrors, 0u);
-    EXPECT_GT(rep.acceptedIdentical, 0u);
-    EXPECT_EQ(rep.typedErrors + rep.acceptedIdentical, cfg.iterations);
-
-    for (std::size_t k = 0; k < fuzz::numMutationKinds; ++k)
-        EXPECT_GT(rep.perKind[k], 0u)
-            << "mutation kind never applied: "
-            << fuzz::toString(static_cast<fuzz::Mutation>(k));
-
-    // Structural faults that survive the per-frame reseal must still
-    // be rejected: header-byte damage and raw truncation cannot be
-    // accepted whatever the resealing does.
-    EXPECT_GT(rep.perKindTyped[static_cast<std::size_t>(
-                  fuzz::Mutation::HeaderByte)],
-              0u);
-    EXPECT_GT(rep.perKindTyped[static_cast<std::size_t>(
-                  fuzz::Mutation::TruncateHeader)],
-              0u);
-}
-
-TEST(FuzzIo, ChunkedResealIsIdempotentOnGoodBlobs)
-{
-    const std::string good = goodWtrcBlob();
-    std::string resealed = good;
-    fuzz::resealChunked(resealed);
-    EXPECT_EQ(resealed, good);
-}
-
-TEST(FuzzIo, WtrcRunsAreDeterministic)
-{
-    fuzz::FuzzConfig cfg = testConfig();
-    cfg.iterations = 500;
-    const std::string good = goodWtrcBlob();
-    const auto a = fuzz::fuzzWtrcFormat(good, cfg);
-    const auto b = fuzz::fuzzWtrcFormat(good, cfg);
-    EXPECT_EQ(a.typedErrors, b.typedErrors);
-    EXPECT_EQ(a.acceptedIdentical, b.acceptedIdentical);
-    EXPECT_EQ(a.failures, b.failures);
 }
 
 TEST(FuzzIo, RunsAreDeterministic)

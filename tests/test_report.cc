@@ -529,9 +529,8 @@ TEST(ReportBench, RaggedHeatmapIsRejected)
 const char *kPanelIds[] = {
     "panel-meta",      "panel-utilization",
     "panel-bottlenecks", "panel-heatmap",
-    "panel-cluster-quality", "panel-shards",
-    "panel-streams",   "panel-serve",
-    "panel-benches",
+    "panel-cluster-quality", "panel-partition",
+    "panel-serve",     "panel-benches",
 };
 
 void

@@ -198,6 +198,43 @@ TEST_F(SweepTest, EngineMatchesNaiveBitwise)
     }
 }
 
+TEST_F(SweepTest, RetimeAllEmptyAndSingleGroupTraces)
+{
+    const std::vector<GpuConfig> points =
+        clockSweepConfigs(makeGpuPreset("baseline"), {0.8, 1.2});
+    const std::uint64_t key =
+        capacityConfigHash(makeGpuPreset("baseline"));
+
+    for (const std::vector<std::size_t> &sizes :
+         {std::vector<std::size_t>{}, std::vector<std::size_t>{5}}) {
+        WorkTrace wt(key, sizes);
+        for (std::size_t i = 0; i < wt.drawCount(); ++i) {
+            DrawWork w;
+            w.vertices = 100.0;
+            w.pixels = 1000.0;
+            w.vsWeightedOps = 4000.0;
+            w.psWeightedOps = 20000.0;
+            wt.setRow(i, w);
+        }
+        SweepConfig naive_cfg;
+        naive_cfg.path = SweepPath::Naive;
+        SweepConfig engine_cfg;
+        engine_cfg.path = SweepPath::Engine;
+        const SweepResult naive = retimeAll(wt, points, naive_cfg);
+        ASSERT_EQ(naive.groupCount, sizes.size());
+        ASSERT_EQ(naive.totalNs.size(), points.size());
+        for (std::size_t c = 0; c < points.size(); ++c)
+            EXPECT_EQ(naive.totalNs[c] > 0.0, !sizes.empty());
+        for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+            const SweepResult engine = at(threads, [&] {
+                return retimeAll(wt, points, engine_cfg);
+            });
+            EXPECT_TRUE(sameSweepResult(naive, engine))
+                << sizes.size() << " groups, threads=" << threads;
+        }
+    }
+}
+
 TEST_F(SweepTest, EngineMatchesSimulateTrace)
 {
     const Trace &trace = testTrace();

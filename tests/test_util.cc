@@ -643,16 +643,6 @@ TEST(Env, SizeParsesAndTrims)
     EXPECT_EQ(envSize("GWS_TEST_SIZE", 7), 7u);
 }
 
-TEST(Env, StringTrimsAndFallsBack)
-{
-    ::setenv("GWS_TEST_STRING", " greedy ", 1);
-    EXPECT_EQ(envString("GWS_TEST_STRING", "balanced"), "greedy");
-    ::setenv("GWS_TEST_STRING", "   ", 1);
-    EXPECT_EQ(envString("GWS_TEST_STRING", "balanced"), "balanced");
-    ::unsetenv("GWS_TEST_STRING");
-    EXPECT_EQ(envString("GWS_TEST_STRING", "balanced"), "balanced");
-}
-
 TEST(Env, DoubleParsesAndTrims)
 {
     ::setenv("GWS_TEST_DOUBLE", " 0.95 ", 1);
