@@ -64,6 +64,25 @@ BM_TextureStream(benchmark::State &state)
 BENCHMARK(BM_TextureStream)->Arg(128)->Arg(512)->Arg(2048);
 
 void
+BM_TextureStreamFullL2(benchmark::State &state)
+{
+    // A short stream (scale == 1) runs against the full-size L2 of
+    // range(0) MiB: the path where building the caches per draw used
+    // to cost more than the accesses.
+    StreamParams p;
+    p.totalAccesses = 384;
+    p.footprintBytes = 256 << 10;
+    p.locality = 0.85;
+    p.seed = 42;
+    const CacheConfig l1{16 * 1024, 64, 4};
+    const CacheConfig l2{static_cast<std::uint64_t>(state.range(0)) << 20,
+                         64, 16};
+    for (auto _ : state)
+        benchmark::DoNotOptimize(runTextureStream(p, l1, l2, 512));
+}
+BENCHMARK(BM_TextureStreamFullL2)->Arg(1)->Arg(4);
+
+void
 BM_SimulateDraw(benchmark::State &state)
 {
     const Trace &t = simTrace();

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "util/fastmod.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
 
@@ -39,11 +40,29 @@ runTextureStream(const StreamParams &params, const CacheConfig &l1_config,
             std::llround(static_cast<double>(params.footprintBytes) /
                          scale)),
         l1_config.lineBytes);
-    Cache l1(scale > 1.0 ? l1_config.scaledDown(scale) : l1_config);
-    Cache l2(scale > 1.0 ? l2_config.scaledDown(scale) : l2_config);
+    // One L1/L2 pair per thread, reconfigured per stream: the caches
+    // drop their lines in O(1) and keep their storage, so a draw pays
+    // for its accesses, not for building a full-size L2.
+    thread_local Cache l1(l1_config);
+    thread_local Cache l2(l2_config);
+    l1.reconfigure(scale > 1.0 ? l1_config.scaledDown(scale) : l1_config);
+    l2.reconfigure(scale > 1.0 ? l2_config.scaledDown(scale) : l2_config);
+
+    // Division-free stream: the window is two lines (a power of two),
+    // so r % window is a mask; cursor < footprint and footprint >= one
+    // line, so a local address needs at most two wraps and the cursor
+    // step (a quarter line) at most one; jumps use the exact fastmod.
+    const FastMod footprint_mod(footprint);
+    const std::uint64_t window_mask = 2 * l1_config.lineBytes - 1;
+    const std::uint64_t step = l1_config.lineBytes / 4;
+    // An access is local iff u < locality, where u = k * 2^-53 and k
+    // is the top 53 bits of its random word; for integer k that holds
+    // iff k < ceil(locality * 2^53), an exact integer threshold.
+    const auto local_below = static_cast<std::uint64_t>(
+        std::ceil(params.locality * 0x1.0p53));
 
     SplitMix64 rng(params.seed);
-    std::uint64_t cursor = rng.next() % footprint;
+    std::uint64_t cursor = footprint_mod(rng.next());
     std::uint64_t l1_hits = 0;
     std::uint64_t l2_accesses = 0;
     std::uint64_t l2_hits = 0;
@@ -51,19 +70,23 @@ runTextureStream(const StreamParams &params, const CacheConfig &l1_config,
     for (std::uint64_t i = 0; i < n; ++i) {
         const std::uint64_t r = rng.next();
         // High bits decide local-vs-jump; low bits supply the offset.
-        const double u = static_cast<double>(r >> 11) * 0x1.0p-53;
         std::uint64_t addr;
-        if (u < params.locality) {
+        if ((r >> 11) < local_below) {
             // Local access: stay within a small window around the
             // cursor (mostly same or adjacent line) and creep forward,
             // emulating rasterization order walking texel space.
-            const std::uint64_t window = 2 * l1.config().lineBytes;
-            addr = (cursor + (r % window)) % footprint;
-            cursor = (cursor + l1.config().lineBytes / 4) % footprint;
+            addr = cursor + (r & window_mask);
+            if (addr >= footprint)
+                addr -= footprint;
+            if (addr >= footprint)
+                addr -= footprint;
+            cursor += step;
+            if (cursor >= footprint)
+                cursor -= footprint;
         } else {
             // Non-local access: jump anywhere in the footprint
             // (mip transitions, dependent reads, atlas jumps).
-            addr = r % footprint;
+            addr = footprint_mod(r);
             cursor = addr;
         }
         if (l1.access(addr)) {

@@ -67,7 +67,10 @@ struct StreamResult
  * Synthesize the stream described by params and run it through a
  * two-level hierarchy with the given geometries. maxSamples bounds the
  * simulated length; when sampling kicks in, both caches are scaled
- * down by the sampling factor.
+ * down by the sampling factor. Both geometries must have power-of-two
+ * line sizes of at least 4 bytes (GpuConfig::validate checks this).
+ * The caches are per-thread and reused across calls, so a call costs
+ * its accesses, not building a full-size L2.
  */
 StreamResult runTextureStream(const StreamParams &params,
                               const CacheConfig &l1_config,

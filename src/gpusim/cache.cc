@@ -1,6 +1,7 @@
 #include "gpusim/cache.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "util/logging.hh"
@@ -40,62 +41,36 @@ CacheStats::hitRate() const
 }
 
 Cache::Cache(const CacheConfig &config)
-    : geometry(config), numSets(config.sets()),
-      lines(numSets * config.ways)
 {
-    GWS_ASSERT((geometry.lineBytes & (geometry.lineBytes - 1)) == 0,
-               "line size must be a power of two: ", geometry.lineBytes);
+    GWS_ASSERT(std::has_single_bit(config.lineBytes),
+               "line size must be a power of two: ", config.lineBytes);
+    reconfigure(config);
 }
 
-std::uint64_t
-Cache::setIndex(std::uint64_t address) const
+void
+Cache::reconfigure(const CacheConfig &config)
 {
-    return (address / geometry.lineBytes) % numSets;
-}
-
-std::uint64_t
-Cache::tagOf(std::uint64_t address) const
-{
-    return (address / geometry.lineBytes) / numSets;
-}
-
-bool
-Cache::access(std::uint64_t address)
-{
-    ++statistics.accesses;
-    ++useCounter;
-    const std::uint64_t set = setIndex(address);
-    const std::uint64_t tag = tagOf(address);
-    Line *base = &lines[set * geometry.ways];
-
-    Line *victim = base;
-    for (std::uint32_t w = 0; w < geometry.ways; ++w) {
-        Line &line = base[w];
-        if (line.valid && line.tag == tag) {
-            line.lastUse = useCounter;
-            ++statistics.hits;
-            return true;
-        }
-        if (!line.valid) {
-            victim = &line; // prefer an invalid way
-        } else if (victim->valid && line.lastUse < victim->lastUse) {
-            victim = &line;
-        }
-    }
-    victim->valid = true;
-    victim->tag = tag;
-    victim->lastUse = useCounter;
-    return false;
+    geometry = config;
+    lineShift = static_cast<std::uint32_t>(
+        std::countr_zero(config.lineBytes));
+    numSets = config.sets();
+    maskedSets = std::has_single_bit(numSets);
+    if (!maskedSets)
+        setMod = FastMod(numSets);
+    const std::uint64_t needed = numSets * config.ways;
+    if (lines.size() < needed)
+        lines.assign(needed, Line{});
+    reset();
 }
 
 bool
 Cache::probe(std::uint64_t address) const
 {
-    const std::uint64_t set = setIndex(address);
-    const std::uint64_t tag = tagOf(address);
-    const Line *base = &lines[set * geometry.ways];
-    for (std::uint32_t w = 0; w < geometry.ways; ++w) {
-        if (base[w].valid && base[w].tag == tag)
+    const std::uint64_t line_no = address >> lineShift;
+    const Line *base = &lines[setStart(line_no)];
+    for (std::uint32_t w = 0;
+         w < geometry.ways && base[w].stamp == generation; ++w) {
+        if (base[w].tag == line_no)
             return true;
     }
     return false;
@@ -104,8 +79,7 @@ Cache::probe(std::uint64_t address) const
 void
 Cache::reset()
 {
-    std::fill(lines.begin(), lines.end(), Line{});
-    useCounter = 0;
+    ++generation;
     statistics = CacheStats{};
 }
 

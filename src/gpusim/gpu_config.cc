@@ -1,5 +1,7 @@
 #include "gpusim/gpu_config.hh"
 
+#include <bit>
+
 #include "util/logging.hh"
 
 namespace gws {
@@ -43,6 +45,16 @@ GpuConfig::validate() const
     GWS_ASSERT(frameOverheadUs >= 0.0, "frame overhead");
     GWS_ASSERT(maxSampledTexAccesses >= 16,
                "need at least 16 sampled accesses");
+    // The cache model indexes lines by shift and the texture stream
+    // creeps forward by a quarter line, so a line is a power of two of
+    // at least 4 bytes.
+    GWS_ASSERT(texL1.lineBytes >= 4 && std::has_single_bit(texL1.lineBytes),
+               "texture L1 line size must be a power of two >= 4: ",
+               texL1.lineBytes);
+    GWS_ASSERT(texL1.ways >= 1, "texture L1 needs at least one way");
+    GWS_ASSERT(l2.lineBytes >= 4 && std::has_single_bit(l2.lineBytes),
+               "L2 line size must be a power of two >= 4: ", l2.lineBytes);
+    GWS_ASSERT(l2.ways >= 1, "L2 needs at least one way");
     GWS_ASSERT(texL1.sizeBytes >= texL1.lineBytes * texL1.ways,
                "texture L1 smaller than one set");
     GWS_ASSERT(l2.sizeBytes >= l2.lineBytes * l2.ways,

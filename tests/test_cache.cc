@@ -174,12 +174,13 @@ class CacheCrossCheck : public ::testing::TestWithParam<CrossCheckCase>
 {
 };
 
-TEST_P(CacheCrossCheck, MatchesReferenceOnRandomStream)
+/** Run a random stream through dut and a fresh reference model. */
+void
+expectMatchesReference(Cache &dut, const CacheConfig &config,
+                       double locality, std::uint64_t seed)
 {
-    const auto &[config, locality] = GetParam();
-    Cache dut(config);
     ReferenceCache ref(config);
-    Rng rng(0xc0ffee);
+    Rng rng(seed);
     std::uint64_t cursor = 0;
     for (int i = 0; i < 20000; ++i) {
         std::uint64_t addr;
@@ -194,6 +195,31 @@ TEST_P(CacheCrossCheck, MatchesReferenceOnRandomStream)
     }
 }
 
+TEST_P(CacheCrossCheck, MatchesReferenceOnRandomStream)
+{
+    const auto &[config, locality] = GetParam();
+    Cache dut(config);
+    expectMatchesReference(dut, config, locality, 0xc0ffee);
+}
+
+TEST(CacheReuse, ReconfiguredCacheMatchesFreshReference)
+{
+    // One instance walks geometries large -> small -> large, as the
+    // per-thread texture caches do across draws: no line of an earlier
+    // geometry may survive into a later one.
+    const CacheConfig order[] = {
+        {64 * 1024, 64, 16}, {5 * 1024, 64, 4}, {256, 64, 4},
+        {16 * 1024, 128, 8}, {7 * 128, 64, 2},  {64 * 1024, 64, 16},
+    };
+    Cache dut(order[0]);
+    std::uint64_t seed = 1;
+    for (const CacheConfig &config : order) {
+        dut.reconfigure(config);
+        EXPECT_EQ(dut.stats().accesses, 0u);
+        expectMatchesReference(dut, config, 0.7, seed++);
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Geometries, CacheCrossCheck,
     ::testing::Values(
@@ -202,7 +228,12 @@ INSTANTIATE_TEST_SUITE_P(
         CrossCheckCase{{4096, 64, 4}, 0.0},     // pure random
         CrossCheckCase{{16 * 1024, 128, 8}, 0.7},
         CrossCheckCase{{64 * 1024, 64, 16}, 0.9},
-        CrossCheckCase{{256, 64, 4}, 0.5}));    // single set
+        CrossCheckCase{{256, 64, 4}, 0.5},      // single set
+        // Set counts that are not powers of two (scaled-down caches).
+        CrossCheckCase{{5 * 1024, 64, 4}, 0.8},   // 20 sets
+        CrossCheckCase{{7 * 128, 64, 2}, 0.5},    // 7 sets
+        CrossCheckCase{{12 * 1024, 64, 16}, 0.9}, // 12 sets
+        CrossCheckCase{{3 * 1024, 128, 1}, 0.3})); // 24 sets, direct
 
 } // namespace
 } // namespace gws

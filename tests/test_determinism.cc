@@ -140,6 +140,58 @@ TEST_F(DeterminismTest, RetimeAllCapacityGroupIsBitIdenticalAcrossThreadCounts)
     expectSameSweep(a, b);
 }
 
+TEST_F(DeterminismTest, WorkTraceAcrossGeometriesIsBitIdenticalAcrossThreadCounts)
+{
+    // Three cache geometries in turn on one pool: the per-thread
+    // texture caches are reused from the 4x L2 down to the mobile L2
+    // and back up, on whichever worker picks up each frame. The memo
+    // is cleared before every build so each one simulates every draw.
+    const Trace &trace = testTrace();
+    const char *const presets[] = {"bigcache", "mobile", "baseline"};
+    const auto buildAll = [&] {
+        std::vector<WorkTrace> traces;
+        for (const char *p : presets) {
+            drawWorkCacheClear();
+            traces.push_back(
+                buildWorkTrace(trace, GpuSimulator(makeGpuPreset(p))));
+        }
+        return traces;
+    };
+    const std::vector<WorkTrace> a = at(1, buildAll);
+    const std::vector<WorkTrace> b = at(4, buildAll);
+    drawWorkCacheClear();
+
+    // Every DrawWork column; the derived columns follow from them.
+    const std::vector<const double *(WorkTrace::*)() const> columns = {
+        &WorkTrace::vertices,        &WorkTrace::primitives,
+        &WorkTrace::pixels,          &WorkTrace::vertexFetchBytes,
+        &WorkTrace::vsWeightedOps,   &WorkTrace::psWeightedOps,
+        &WorkTrace::ropPixels,       &WorkTrace::texSamples,
+        &WorkTrace::texL2FillBytes,  &WorkTrace::texDramBytes,
+        &WorkTrace::vertexDramBytes, &WorkTrace::rtDramBytes,
+        &WorkTrace::l2Bytes,         &WorkTrace::dramBytes,
+        &WorkTrace::vsOpsTotal,      &WorkTrace::psOpsTotal};
+    for (std::size_t p = 0; p < std::size(presets); ++p) {
+        const WorkTrace &wa = a[p];
+        const WorkTrace &wb = b[p];
+        ASSERT_EQ(wa.drawCount(), trace.totalDraws()) << presets[p];
+        ASSERT_EQ(wa.drawCount(), wb.drawCount()) << presets[p];
+        ASSERT_EQ(wa.groupCount(), wb.groupCount()) << presets[p];
+        EXPECT_EQ(wa.capacityKey(), wb.capacityKey()) << presets[p];
+        for (std::size_t c = 0; c < columns.size(); ++c) {
+            const std::vector<double> ca((wa.*columns[c])(),
+                                         (wa.*columns[c])() +
+                                             wa.drawCount());
+            const std::vector<double> cb((wb.*columns[c])(),
+                                         (wb.*columns[c])() +
+                                             wb.drawCount());
+            ASSERT_EQ(ca, cb) << presets[p] << " column " << c;
+        }
+    }
+    // The geometries really differ in their texture traffic.
+    EXPECT_NE(a[0].totalDramBytes(), a[1].totalDramBytes());
+}
+
 TEST_F(DeterminismTest, KMeansIsBitIdenticalAcrossThreadCounts)
 {
     // Enough points that the default grain splits the scans into

@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <thread>
 
 #include "gpusim/access_stream.hh"
 #include "gpusim/clock.hh"
@@ -89,6 +91,26 @@ TEST(GpuConfig, ValidateCatchesBadValues)
     GpuConfig cfg;
     cfg.numCores = 0;
     EXPECT_DEATH(cfg.validate(), "shader core");
+}
+
+TEST(GpuConfig, ValidateCatchesBadCacheGeometry)
+{
+    // Line sizes must be powers of two of at least 4 bytes (the model
+    // indexes by shift and steps a quarter line); every cache needs a
+    // way. Checked once per config, not per simulated draw.
+    const auto dies = [](auto mutate, const char *msg) {
+        GpuConfig cfg;
+        mutate(cfg);
+        EXPECT_DEATH(cfg.validate(), msg);
+    };
+    dies([](GpuConfig &c) { c.texL1.lineBytes = 48; },
+         "texture L1 line size");
+    dies([](GpuConfig &c) { c.texL1.lineBytes = 2; },
+         "texture L1 line size");
+    dies([](GpuConfig &c) { c.texL1.ways = 0; }, "texture L1 needs");
+    dies([](GpuConfig &c) { c.l2.lineBytes = 96; }, "L2 line size");
+    dies([](GpuConfig &c) { c.l2.lineBytes = 1; }, "L2 line size");
+    dies([](GpuConfig &c) { c.l2.ways = 0; }, "L2 needs");
 }
 
 // ----------------------------------------------------------- access stream --
@@ -173,6 +195,132 @@ TEST(AccessStream, MixSeedIsStable)
 {
     EXPECT_EQ(mixSeed(1, 2, 3), mixSeed(1, 2, 3));
     EXPECT_NE(mixSeed(1, 2, 3), mixSeed(1, 2, 4));
+}
+
+// ----------------------------------------------------------- golden stream --
+
+/** FNV-1a 64 over every field of a sequence of stream results. */
+class StreamHash
+{
+  public:
+    void
+    add(const StreamResult &r)
+    {
+        mix(r.simulatedAccesses);
+        mix(std::bit_cast<std::uint64_t>(r.scale));
+        mix(std::bit_cast<std::uint64_t>(r.l1HitRate));
+        mix(std::bit_cast<std::uint64_t>(r.l2HitRate));
+        mix(std::bit_cast<std::uint64_t>(r.l1Misses));
+        mix(std::bit_cast<std::uint64_t>(r.l2Misses));
+    }
+
+    std::uint64_t value() const { return h; }
+
+  private:
+    void
+    mix(std::uint64_t v)
+    {
+        for (int b = 0; b < 8; ++b) {
+            h ^= (v >> (8 * b)) & 0xff;
+            h *= 1099511628211ULL;
+        }
+    }
+
+    std::uint64_t h = 1469598103934665603ULL;
+};
+
+/** One sampling regime of the stream: length and footprint. */
+struct StreamRegime
+{
+    const char *name;
+    std::uint64_t totalAccesses;
+    std::uint64_t footprintBytes;
+};
+
+// scale == 1 with a full-size L2; scaled down; scaled so far that
+// every L2 floors at one set; and a footprint under two lines (floored
+// to one line), which the two-line local window wraps twice.
+const StreamRegime kRegimes[] = {
+    {"full", 480, 192 * 1024 + 40},
+    {"scaled", 100000, (4 << 20) + 4096 + 24},
+    {"one_set", 5000000, 48 << 20},
+    {"tiny", 300, 40},
+};
+
+const char *const kStreamPresets[] = {"baseline", "bigcache", "mobile"};
+
+/** Hash of every stream of one regime under one preset's caches. */
+std::uint64_t
+regimeHash(const GpuConfig &cfg, const StreamRegime &regime)
+{
+    StreamHash h;
+    for (const double locality : {0.0, 0.85, 1.0}) {
+        for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+            StreamParams p;
+            p.totalAccesses = regime.totalAccesses;
+            p.footprintBytes = regime.footprintBytes;
+            p.locality = locality;
+            p.seed = mixSeed(seed, regime.totalAccesses, 0x5eed);
+            h.add(runTextureStream(p, cfg.texL1, cfg.l2,
+                                   cfg.maxSampledTexAccesses));
+        }
+    }
+    return h.value();
+}
+
+TEST(AccessStream, GoldenStreamHashes)
+{
+    // Every StreamResult field of the texture streams of the three
+    // cache geometries the presets span, under each sampling regime.
+    // Any change to the stream synthesis, the set indexing or the LRU
+    // policy moves these hashes. The presets share their L1, and only
+    // the scaled regime makes their L2s differ in effect: 480 accesses
+    // never fill a full-size L2, every L2 floors to the same single
+    // set, and a one-line footprint always fits.
+    const std::uint64_t golden[3][4] = {
+        {0xde5672ce3c5206e0ULL, 0xcffb8f63538e250eULL,
+         0x99314fbad96fec3cULL, 0xbc9c0cf0e2b02e23ULL},
+        {0xde5672ce3c5206e0ULL, 0x35d24e2ca03dee3fULL,
+         0x99314fbad96fec3cULL, 0xbc9c0cf0e2b02e23ULL},
+        {0xde5672ce3c5206e0ULL, 0x74faac12089d7a2aULL,
+         0x99314fbad96fec3cULL, 0xbc9c0cf0e2b02e23ULL},
+    };
+    for (std::size_t g = 0; g < 3; ++g) {
+        const GpuConfig cfg = makeGpuPreset(kStreamPresets[g]);
+        for (std::size_t r = 0; r < 4; ++r) {
+            const std::uint64_t got = regimeHash(cfg, kRegimes[r]);
+            EXPECT_EQ(got, golden[g][r])
+                << kStreamPresets[g] << "/" << kRegimes[r].name
+                << " got 0x" << std::hex << got;
+        }
+    }
+}
+
+TEST(AccessStream, ReuseAcrossGeometriesMatchesFreshRuns)
+{
+    // Run each geometry and regime on a fresh thread (fresh per-thread
+    // cache storage), then all of them in turn on one thread: a larger
+    // geometry must leave no line behind that a later, smaller one
+    // could hit.
+    const char *const order[] = {"baseline", "bigcache", "mobile",
+                                 "baseline"};
+    std::uint64_t fresh[4][4] = {};
+    for (std::size_t g = 0; g < 4; ++g) {
+        for (std::size_t r = 0; r < 4; ++r) {
+            std::thread([&, g, r] {
+                fresh[g][r] =
+                    regimeHash(makeGpuPreset(order[g]), kRegimes[r]);
+            }).join();
+        }
+    }
+    std::thread([&] {
+        for (std::size_t g = 0; g < 4; ++g) {
+            const GpuConfig cfg = makeGpuPreset(order[g]);
+            for (std::size_t r = 0; r < 4; ++r)
+                EXPECT_EQ(regimeHash(cfg, kRegimes[r]), fresh[g][r])
+                    << order[g] << "/" << kRegimes[r].name;
+        }
+    }).join();
 }
 
 // ------------------------------------------------------------ helper trace --

@@ -15,6 +15,7 @@
 #include "util/args.hh"
 #include "util/codec.hh"
 #include "util/env.hh"
+#include "util/fastmod.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
 #include "util/stats.hh"
@@ -23,6 +24,31 @@
 
 namespace gws {
 namespace {
+
+// ------------------------------------------------------------ FastMod --
+
+TEST(FastMod, MatchesRemainderAtEdgesAndRandomly)
+{
+    const std::uint64_t max = ~std::uint64_t{0};
+    const std::uint64_t divisors[] = {
+        1, 2, 3, 5, 7, 12, 20, 64, 1000, 1021, (1ULL << 32) - 1,
+        1ULL << 32, (1ULL << 32) + 1, 0x9e3779b97f4a7c15ULL, 1ULL << 63,
+        max - 1, max};
+    SplitMix64 sm(99);
+    for (const std::uint64_t d : divisors) {
+        const FastMod mod(d);
+        EXPECT_EQ(mod.divisor(), d);
+        for (const std::uint64_t a :
+             {std::uint64_t{0}, std::uint64_t{1}, d - 1, d, d + 1,
+              2 * d - 1, max - 1, max})
+            ASSERT_EQ(mod(a), a % d) << a << " % " << d;
+        for (int i = 0; i < 2000; ++i) {
+            const std::uint64_t a = sm.next() >> (i % 64);
+            ASSERT_EQ(mod(a), a % d) << a << " % " << d;
+        }
+    }
+    EXPECT_EQ(FastMod()(12345), 0u);
+}
 
 // ---------------------------------------------------------------- RNG --
 
