@@ -291,7 +291,7 @@ banner(const std::string &id, const std::string &what, SuiteScale scale)
 class BenchJsonWriter
 {
   public:
-    /** Start an envelope for bench `name` (e.g. "micro_sweep"). */
+    /** Start an envelope for bench `name` (e.g. "micro_runtime"). */
     explicit BenchJsonWriter(std::string name) : benchName(std::move(name))
     {
     }

@@ -9,6 +9,7 @@
 #include <benchmark/benchmark.h>
 
 #include "gpusim/access_stream.hh"
+#include "gpusim/draw_work_cache.hh"
 #include "gpusim/gpu_simulator.hh"
 #include "synth/generator.hh"
 #include "util/rng.hh"
@@ -90,6 +91,11 @@ BM_SimulateDraw(benchmark::State &state)
     const auto &draws = t.frame(0).draws();
     std::size_t i = 0;
     for (auto _ : state) {
+        // Every iteration simulates: the draw-work memo is emptied
+        // outside the timed region, so no lookup is served warm.
+        state.PauseTiming();
+        drawWorkCacheClear();
+        state.ResumeTiming();
         benchmark::DoNotOptimize(sim.simulateDraw(t, draws[i]));
         i = (i + 1) % draws.size();
     }
@@ -122,8 +128,12 @@ BM_SimulateFrame(benchmark::State &state)
 {
     const Trace &t = simTrace();
     const GpuSimulator sim(makeGpuPreset("baseline"));
-    for (auto _ : state)
+    for (auto _ : state) {
+        state.PauseTiming();
+        drawWorkCacheClear();
+        state.ResumeTiming();
         benchmark::DoNotOptimize(sim.simulateFrame(t, t.frame(0)));
+    }
     state.SetItemsProcessed(
         static_cast<std::int64_t>(state.iterations()) *
         static_cast<std::int64_t>(t.frame(0).drawCount()));

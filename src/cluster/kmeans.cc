@@ -8,7 +8,6 @@
 #include "cluster/feature_matrix.hh"
 #include "runtime/counters.hh"
 #include "runtime/parallel_for.hh"
-#include "util/env.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
 
@@ -428,18 +427,6 @@ runLloydFast(const FeatureMatrix &matrix,
     return run;
 }
 
-/** Resolve KMeansPath::Auto against GWS_NAIVE_KMEANS (read once). */
-bool
-useNaivePath(KMeansPath path)
-{
-    if (path == KMeansPath::Naive)
-        return true;
-    if (path == KMeansPath::Fast)
-        return false;
-    static const bool forced = envBool("GWS_NAIVE_KMEANS", false);
-    return forced;
-}
-
 } // namespace
 
 Clustering
@@ -451,7 +438,7 @@ kmeans(const std::vector<FeatureVector> &points, const KMeansConfig &config)
     GWS_ASSERT(config.maxIterations >= 1, "kmeans needs iterations");
     const std::size_t k = std::min(std::max<std::size_t>(config.k, 1),
                                    points.size());
-    const bool naive = useNaivePath(config.path);
+    const bool naive = config.path == KMeansPath::Naive;
 
     FeatureMatrix matrix;
     if (!naive)

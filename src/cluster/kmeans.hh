@@ -34,8 +34,7 @@ enum class KMeansInit : std::uint8_t
  */
 enum class KMeansPath : std::uint8_t
 {
-    /** Fast unless the GWS_NAIVE_KMEANS environment variable forces
-     *  the naive path (read once at first use). */
+    /** The fast path. */
     Auto = 0,
 
     /** Textbook full scans + full k-means++ rescans (A/B reference). */

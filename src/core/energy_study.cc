@@ -26,13 +26,12 @@ runDvfsStudy(const Trace &trace, const WorkloadSubset &subset,
 
     // --- compute once: flatten parent and subset work ---------------------
     // DRAM traffic is clock-independent, so both totals come straight
-    // off the DRAM column (parent: every draw in row order; subset:
+    // off the work rows (parent: every draw in row order; subset:
     // representative traffic expanded like costs).
     const GpuSimulator base_sim(base);
     const WorkTrace subset_work =
         buildSubsetWorkTrace(trace, subset, base_sim);
 
-    const double *rep_dram_col = subset_work.dramBytes();
     double subset_dram = 0.0;
     std::vector<double> unit_dram(subset.units.size(), 0.0);
     for (std::size_t u = 0; u < subset.units.size(); ++u) {
@@ -42,7 +41,8 @@ runDvfsStudy(const Trace &trace, const WorkloadSubset &subset,
                          subset_work.groupBegin(u));
         for (std::size_t i = subset_work.groupBegin(u);
              i < subset_work.groupEnd(u); ++i)
-            rep_dram.push_back(rep_dram_col[i]);
+            rep_dram.push_back(
+                subset_work.work(i).traffic.totalDramBytes());
         // Expand per-draw DRAM traffic the same way costs expand.
         const auto predicted = predictItemCosts(
             unit.frameSubset.clustering, rep_dram, subset.prediction,
@@ -52,18 +52,15 @@ runDvfsStudy(const Trace &trace, const WorkloadSubset &subset,
         subset_dram += unit.frameWeight * unit_dram[u];
     }
 
-    // --- retime many: every clock point in one engine pass each -----------
+    // --- retime many: every clock point in one pass each -----------------
     const std::vector<GpuConfig> points =
         clockSweepConfigs(base, config.scales);
-    SweepConfig parent_pass;
-    parent_pass.path = config.path;
-    SweepConfig subset_pass = parent_pass;
+    SweepConfig subset_pass;
     subset_pass.perDraw = true;
 
     const WorkTrace parent_work = buildWorkTrace(trace, base_sim);
     const double parent_dram = parent_work.totalDramBytes();
-    const SweepResult parent_sweep =
-        retimeAll(parent_work, points, parent_pass);
+    const SweepResult parent_sweep = retimeAll(parent_work, points);
     const SweepResult subset_sweep =
         retimeAll(subset_work, points, subset_pass);
 

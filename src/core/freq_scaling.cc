@@ -24,14 +24,11 @@ runFreqScaling(const Trace &trace, const WorkloadSubset &subset,
     const GpuSimulator base_sim(base);
     const std::vector<GpuConfig> points =
         clockSweepConfigs(base, config.scales);
-    SweepConfig parent_pass;
-    parent_pass.path = config.path;
-    SweepConfig subset_pass = parent_pass;
+    SweepConfig subset_pass;
     subset_pass.perDraw = true; // representative costs feed prediction
 
     const WorkTrace parent_work = buildWorkTrace(trace, base_sim);
-    const SweepResult parent_sweep =
-        retimeAll(parent_work, points, parent_pass);
+    const SweepResult parent_sweep = retimeAll(parent_work, points);
 
     const WorkTrace subset_work =
         buildSubsetWorkTrace(trace, subset, base_sim);

@@ -8,9 +8,7 @@
  *
  * Because cache behavior is clock-independent, the study computes
  * per-draw work once (a parallel WorkTrace build) and re-times it at
- * every clock point in one sweep-engine pass — see core/sweep.hh for
- * the engine and its bit-identity contract against the per-design
- * naive loops.
+ * every clock point in one retimeAll() pass — see core/sweep.hh.
  */
 
 #ifndef GWS_CORE_FREQ_SCALING_HH
@@ -33,7 +31,7 @@ struct FreqScalingConfig
     /** Index of the normalization point (scale treated as baseline). */
     std::size_t baselineIndex = 2;
 
-    /** Retiming implementation (Auto honors GWS_NAIVE_SWEEP). */
+    /** No effect (see SweepPath). */
     SweepPath path = SweepPath::Auto;
 };
 

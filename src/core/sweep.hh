@@ -1,38 +1,28 @@
 /**
  * @file
- * The retime-many half of the compute-once / retime-many sweep
- * engine: evaluate all draws of a WorkTrace under many GPU configs in
- * one pass.
+ * The retime-many half of the compute-once / retime-many sweeps:
+ * evaluate all draws of a WorkTrace under many GPU configs in one
+ * pass.
  *
  * The paper's headline experiments are sweeps — frequency scaling,
  * design-point pathfinding, the DVFS energy study — that re-time the
- * same per-draw work at every design point. retimeAll() replaces the
- * per-design serial loops with a blocked kernel: parallel over draw
- * groups (frames / subset units), inner loop over configs with the
- * per-config clock and throughput constants hoisted into contiguous
- * arrays, producing per-group and per-trace totals plus per-config
- * bottleneck histograms.
+ * same per-draw work at every design point. retimeAll() runs one loop,
+ * parallel over draw groups (frames / subset units), that prices every
+ * row under every config with GpuSimulator::timeDrawWork and produces
+ * per-group and per-trace totals plus per-config bottleneck
+ * histograms.
  *
- * Hard bit-identity contract (guarded by tests/test_sweep.cc and
- * re-measured by bench_micro_sweep):
+ * The results are bit-identical to GpuSimulator::simulateFrame /
+ * simulateTrace by construction, because every per-draw cost comes
+ * from the same timeDrawWork and is accumulated in the same order:
  *
- *  - Every per-draw cost is computed with exactly the operations of
- *    GpuSimulator::timeDrawWork, in the same order — only constants
- *    that are themselves per-config pure (setup ns, ops/cycle, DRAM
- *    bandwidth) are hoisted, never re-associated arithmetic.
  *  - A group's cost is the serial left-to-right chain of its draw
- *    costs in submission order plus the config's frame overhead —
- *    the accumulation order of GpuSimulator::simulateFrame.
- *  - The trace total chains group costs in ascending group order —
- *    the accumulation order of GpuSimulator::simulateTrace.
+ *    costs in submission order plus the config's frame overhead.
+ *  - The trace total chains group costs in ascending group order.
  *  - Bottleneck histograms accumulate per group in draw order and
  *    combine group partials in ascending group order.
  *
- * Both SweepPath::Naive (a per-design GpuSimulator walking the rows
- * serially through timeDrawWork — the pre-engine loop shape) and
- * SweepPath::Engine follow that contract, so their outputs are
- * bit-identical and A/B-comparable; GWS_NAIVE_SWEEP=1 forces the
- * naive path process-wide for SweepPath::Auto callers.
+ * tests/test_sweep.cc checks retimeAll against simulateFrame.
  */
 
 #ifndef GWS_CORE_SWEEP_HH
@@ -46,28 +36,20 @@
 
 namespace gws {
 
-/** Which retiming implementation retimeAll() runs. */
+/**
+ * Retiming implementation selector. There is one implementation; the
+ * enum and SweepConfig::path remain only so that existing callers that
+ * copy the field still compile.
+ */
 enum class SweepPath : std::uint8_t
 {
-    /** Engine unless the GWS_NAIVE_SWEEP environment variable forces
-     *  the naive path (read once at first use). */
     Auto = 0,
-
-    /** Per-design GpuSimulator + serial timeDrawWork loops (the A/B
-     *  reference — the pre-engine shape of the sweep studies). */
-    Naive = 1,
-
-    /** Blocked multi-config kernel over the SoA columns. */
-    Engine = 2,
 };
-
-/** Resolve a path against GWS_NAIVE_SWEEP (read once per process). */
-bool sweepUsesNaivePath(SweepPath path);
 
 /** retimeAll() options. */
 struct SweepConfig
 {
-    /** Implementation selection. */
+    /** No effect (see SweepPath). */
     SweepPath path = SweepPath::Auto;
 
     /**

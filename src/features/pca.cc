@@ -287,13 +287,6 @@ resolveFeatureSpace(const FeatureSpaceConfig &config)
     FeatureSpaceConfig out = config;
     if (out.path != FeaturePath::Auto)
         return out;
-    // The escape hatch wins over everything, like GWS_NAIVE_KMEANS:
-    // latched once so mid-run environment edits cannot change paths.
-    static const bool naive_forced = envBool("GWS_NAIVE_FEATURES", false);
-    if (naive_forced) {
-        out.path = FeaturePath::Naive;
-        return out;
-    }
     const int installed = defaultPath.load(std::memory_order_acquire);
     if (installed >= 0) {
         out.path = static_cast<FeaturePath>(installed);

@@ -10,11 +10,10 @@
  * bit-identical transforms on every platform and thread count — the
  * same reproducibility contract the rest of the pipeline carries.
  *
- * Feature-space selection follows the A/B escape-hatch pattern of
- * GWS_NAIVE_KMEANS: `GWS_NAIVE_FEATURES=1` forces the raw normalized
- * space regardless of any other knob, `--pca=<frac>` / `GWS_PCA`
- * opt into the projected space. The default is the raw space, so
- * existing outputs stay byte-identical unless PCA is requested.
+ * Feature-space selection: an explicit FeatureSpaceConfig::path wins,
+ * then the `--pca=<frac>|off`-installed process default, then
+ * `GWS_PCA`. The default is the raw normalized space, so existing
+ * outputs stay byte-identical unless PCA is requested.
  */
 
 #ifndef GWS_FEATURES_PCA_HH
@@ -112,7 +111,7 @@ class PcaTransform
 /** Which feature space the clustering stages see. */
 enum class FeaturePath
 {
-    /** Resolve from GWS_NAIVE_FEATURES / --pca / GWS_PCA. */
+    /** Resolve from --pca / GWS_PCA. */
     Auto,
     /** Raw normalized features (the historical behaviour). */
     Naive,
@@ -145,8 +144,7 @@ struct FeatureSpaceConfig
 
 /**
  * Set the process-global default feature space that Auto resolves to
- * (what `--pca` installs). Overrides GWS_PCA but not
- * GWS_NAIVE_FEATURES, which always wins as the escape hatch.
+ * (what `--pca` installs). Overrides GWS_PCA.
  */
 void setDefaultFeatureSpace(const FeatureSpaceConfig &config);
 

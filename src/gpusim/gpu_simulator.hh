@@ -138,6 +138,9 @@ struct DrawWork
     double psWeightedOps = 0.0;
     double ropPixels = 0.0;
     MemoryTraffic traffic;
+
+    /** Equality over all fields. */
+    bool operator==(const DrawWork &other) const = default;
 };
 
 /** The GPU performance simulator bound to one architecture config. */

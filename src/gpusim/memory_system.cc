@@ -1,36 +1,10 @@
 #include "gpusim/memory_system.hh"
 
 #include <algorithm>
-#include <mutex>
 
 #include "gpusim/access_stream.hh"
-#include "runtime/counters.hh"
 
 namespace gws {
-
-namespace {
-
-/** splitmix64 finalizer — the same mixer the draw-work cache uses. */
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
-
-/** Hash of (texture-table epoch, bound id list), order-sensitive. */
-std::uint64_t
-texBindKey(const Trace &trace, const DrawCall &draw)
-{
-    std::uint64_t key = mix64(trace.textureEpoch());
-    for (TextureId id : draw.state.textures)
-        key = mix64(key ^ id);
-    return key;
-}
-
-} // namespace
 
 double
 MemoryTraffic::totalL2Bytes() const
@@ -55,26 +29,12 @@ MemorySystem::TexBindScan
 MemorySystem::boundTextureScan(const Trace &trace,
                                const DrawCall &draw) const
 {
-    const std::uint64_t key = texBindKey(trace, draw);
-    {
-        std::shared_lock<std::shared_mutex> lock(texBindMutex);
-        const auto it = texBindMemo.find(key);
-        if (it != texBindMemo.end()) {
-            runtime_detail::noteTexBindScan(1, 0);
-            return it->second;
-        }
-    }
-
     TexBindScan scan;
     for (TextureId id : draw.state.textures) {
         const TextureDesc &tex = trace.texture(id);
         scan.boundBytes += tex.sizeBytes();
         scan.bytesPerTexelSum += tex.bytesPerTexel;
     }
-    runtime_detail::noteTexBindScan(0, 1);
-
-    std::unique_lock<std::shared_mutex> lock(texBindMutex);
-    texBindMemo.emplace(key, scan);
     return scan;
 }
 

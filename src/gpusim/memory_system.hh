@@ -8,9 +8,6 @@
 #ifndef GWS_GPUSIM_MEMORY_SYSTEM_HH
 #define GWS_GPUSIM_MEMORY_SYSTEM_HH
 
-#include <shared_mutex>
-#include <unordered_map>
-
 #include "gpusim/gpu_config.hh"
 #include "trace/trace.hh"
 
@@ -45,6 +42,9 @@ struct MemoryTraffic
 
     /** All bytes crossing the DRAM bus. */
     double totalDramBytes() const;
+
+    /** Equality over all fields. */
+    bool operator==(const MemoryTraffic &other) const = default;
 };
 
 /**
@@ -58,26 +58,12 @@ class MemorySystem
     /** Construct for a validated configuration. */
     explicit MemorySystem(const GpuConfig &config);
 
-    /** Copies share the config but start with an empty memo. */
-    MemorySystem(const MemorySystem &other) : cfg(other.cfg) {}
-
-    MemorySystem &operator=(const MemorySystem &) = delete;
-
     /** Compute the memory traffic of one draw. */
     MemoryTraffic drawTraffic(const Trace &trace,
                               const DrawCall &draw) const;
 
   private:
-    /**
-     * Bound-texture descriptor scan, memoized. Many draws bind the
-     * same texture set (repeated state blocks), and the scanned
-     * values — total bound bytes and the bytes-per-texel sum — depend
-     * only on the texture descriptors, not on the shader or the
-     * config. Keyed by the trace's texture-table epoch plus the bound
-     * id list, so table edits (and freed/reused Trace objects, which
-     * get a fresh epoch) can never serve stale sizes. Thread-safe:
-     * drawTraffic runs concurrently on one simulator.
-     */
+    /** Total bound bytes and bytes-per-texel sum of a draw's textures. */
     struct TexBindScan
     {
         std::uint64_t boundBytes = 0;
@@ -88,9 +74,6 @@ class MemorySystem
                                  const DrawCall &draw) const;
 
     const GpuConfig cfg;
-
-    mutable std::shared_mutex texBindMutex;
-    mutable std::unordered_map<std::uint64_t, TexBindScan> texBindMemo;
 };
 
 } // namespace gws

@@ -41,8 +41,6 @@ struct LegacyCounters
     Counter &sweepConfigs;
     Counter &sweepDrawsRetimed;
     Counter &sweepRetimeNs;
-    Counter &texBindHits;
-    Counter &texBindMisses;
 };
 
 LegacyCounters &
@@ -67,8 +65,6 @@ legacy()
         metricsRegistry().counter("core.sweep.configs"),
         metricsRegistry().counter("core.sweep.drawsRetimed"),
         metricsRegistry().counter("core.sweep.retimeNs"),
-        metricsRegistry().counter("gpusim.texBind.hits"),
-        metricsRegistry().counter("gpusim.texBind.misses"),
     };
     return c;
 }
@@ -100,8 +96,6 @@ runtimeCounters()
     c.sweepConfigs = l.sweepConfigs.value();
     c.sweepDrawsRetimed = l.sweepDrawsRetimed.value();
     c.sweepRetimeNs = l.sweepRetimeNs.value();
-    c.texBindHits = l.texBindHits.value();
-    c.texBindMisses = l.texBindMisses.value();
     return c;
 }
 
@@ -222,9 +216,6 @@ runtimeCountersReport()
             << c.sweepConfigsPerPass() << " configs/pass, "
             << c.sweepDrawsRetimed << " draw-configs retimed ("
             << c.sweepDrawsRetimedPerSec() * 1e-6 << " M/s)\n";
-    if (c.texBindHits + c.texBindMisses > 0)
-        oss << "runtime: tex-bind memo: " << c.texBindHits
-            << " hits / " << c.texBindMisses << " descriptor scans\n";
     for (const obs::MetricSnapshot &m :
          metricsRegistry().snapshotPrefix("gws.part.")) {
         oss << "runtime: " << m.name << ": ";
@@ -299,16 +290,6 @@ noteSweepPass(std::uint64_t configs, std::uint64_t drawsRetimed,
     l.sweepConfigs.add(configs);
     l.sweepDrawsRetimed.add(drawsRetimed);
     l.sweepRetimeNs.add(ns);
-}
-
-void
-noteTexBindScan(std::uint64_t hits, std::uint64_t misses)
-{
-    LegacyCounters &l = legacy();
-    if (hits)
-        l.texBindHits.add(hits);
-    if (misses)
-        l.texBindMisses.add(misses);
 }
 
 void

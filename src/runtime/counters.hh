@@ -77,7 +77,7 @@ struct RuntimeCounters
     /** ns spent building work traces (the compute-once pass). */
     std::uint64_t workTraceBuildNs = 0;
 
-    /** Sweep-engine passes (retimeAll calls, either path). */
+    /** Sweep passes (retimeAll calls). */
     std::uint64_t sweepPasses = 0;
 
     /** Configs evaluated across all sweep passes. */
@@ -88,12 +88,6 @@ struct RuntimeCounters
 
     /** ns spent inside retimeAll (the retime-many pass). */
     std::uint64_t sweepRetimeNs = 0;
-
-    /** Bound-texture scans served from the memo (MemorySystem). */
-    std::uint64_t texBindHits = 0;
-
-    /** Bound-texture scans that walked the descriptors. */
-    std::uint64_t texBindMisses = 0;
 
     /** Fraction of draw-work lookups served by the memo cache. */
     double drawCacheHitRate() const;
@@ -186,9 +180,6 @@ void noteWorkTraceBuild(std::uint64_t draws, std::uint64_t ns);
 /** Record one sweep pass: configs, draw × config count, wall ns. */
 void noteSweepPass(std::uint64_t configs, std::uint64_t drawsRetimed,
                    std::uint64_t ns);
-
-/** Record bound-texture memo lookups (MemorySystem::drawTraffic). */
-void noteTexBindScan(std::uint64_t hits, std::uint64_t misses);
 
 /** Monotonic now() in ns (steady clock). */
 std::uint64_t nowNs();

@@ -1,29 +1,8 @@
 #include "trace/trace.hh"
 
-#include <atomic>
-
 #include "util/logging.hh"
 
 namespace gws {
-
-std::uint64_t
-Trace::nextTextureEpoch()
-{
-    static std::atomic<std::uint64_t> counter{1};
-    return counter.fetch_add(1, std::memory_order_relaxed);
-}
-
-bool
-Trace::operator==(const Trace &other) const
-{
-    // Content equality only: texEpoch identifies a table instance, not
-    // its content, so a serialization round trip stays equal.
-    return traceName == other.traceName &&
-           shaderTable == other.shaderTable &&
-           textureTable == other.textureTable &&
-           renderTargetTable == other.renderTargetTable &&
-           frameList == other.frameList;
-}
 
 TextureId
 Trace::addTexture(TextureDesc desc)
@@ -31,9 +10,6 @@ Trace::addTexture(TextureDesc desc)
     const auto id = static_cast<TextureId>(textureTable.size());
     GWS_ASSERT(id != invalidResourceId, "texture table full");
     textureTable.push_back(desc);
-    // The table changed: divorce this trace from any memo entries
-    // recorded against its previous state (see textureEpoch()).
-    texEpoch = nextTextureEpoch();
     return id;
 }
 

@@ -75,17 +75,6 @@ class Trace
     std::uint64_t textureBytes() const;
 
     /**
-     * Process-unique identity of the texture table's current state.
-     * Refreshed by addTexture(), shared by copies (their tables are
-     * identical), and excluded from equality — it identifies *this*
-     * table instance, not its content. Memo caches keyed on texture
-     * descriptors (see MemorySystem's bound-texture memo) use it to
-     * stay valid across trace copies without risking stale hits when
-     * an address or id is reused by a different trace.
-     */
-    std::uint64_t textureEpoch() const { return texEpoch; }
-
-    /**
      * Cross-checks internal consistency: every shader / texture /
      * render-target id referenced by any draw resolves, shader stages
      * match their binding points, frame indices are dense, and counts
@@ -95,7 +84,7 @@ class Trace
     void validate() const;
 
     /** Equality over all content (serialization round-trip tests). */
-    bool operator==(const Trace &other) const;
+    bool operator==(const Trace &other) const = default;
 
   private:
     std::string traceName;
@@ -103,10 +92,6 @@ class Trace
     std::vector<TextureDesc> textureTable;
     std::vector<RenderTargetDesc> renderTargetTable;
     std::vector<Frame> frameList;
-    std::uint64_t texEpoch = nextTextureEpoch();
-
-    /** Fresh process-unique epoch value (atomic counter). */
-    static std::uint64_t nextTextureEpoch();
 };
 
 } // namespace gws

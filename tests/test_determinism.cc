@@ -97,15 +97,14 @@ TEST_F(DeterminismTest, SimulateTraceIsBitIdenticalAcrossThreadCounts)
 
 TEST_F(DeterminismTest, RetimeAllClockSweepIsBitIdenticalAcrossThreadCounts)
 {
-    // The clock-only kernel with per-draw costs recorded, the shape
-    // the frequency-scaling and DVFS subset passes run.
+    // A clock sweep with per-draw costs recorded, the shape the
+    // frequency-scaling and DVFS subset passes run.
     const Trace &trace = testTrace();
     const GpuSimulator sim(makeGpuPreset("baseline"));
     const WorkTrace wt = buildWorkTrace(trace, sim);
     const std::vector<GpuConfig> points = clockSweepConfigs(
         makeGpuPreset("baseline"), {0.6, 0.9, 1.0, 1.3, 1.7, 2.0});
     SweepConfig cfg;
-    cfg.path = SweepPath::Engine;
     cfg.perDraw = true;
 
     const SweepResult a =
@@ -119,7 +118,7 @@ TEST_F(DeterminismTest, RetimeAllClockSweepIsBitIdenticalAcrossThreadCounts)
 TEST_F(DeterminismTest, RetimeAllCapacityGroupIsBitIdenticalAcrossThreadCounts)
 {
     // Designs that share a capacity hash but not their throughput
-    // rates: the generic multi-config kernel pathfinding runs.
+    // rates, as pathfinding retimes them.
     const Trace &trace = testTrace();
     const std::vector<GpuConfig> designs = {makeGpuPreset("baseline"),
                                             makeGpuPreset("wide"),
@@ -130,13 +129,9 @@ TEST_F(DeterminismTest, RetimeAllCapacityGroupIsBitIdenticalAcrossThreadCounts)
             << d.name;
     const GpuSimulator sim(designs.front());
     const WorkTrace wt = buildWorkTrace(trace, sim);
-    SweepConfig cfg;
-    cfg.path = SweepPath::Engine;
 
-    const SweepResult a =
-        at(1, [&] { return retimeAll(wt, designs, cfg); });
-    const SweepResult b =
-        at(8, [&] { return retimeAll(wt, designs, cfg); });
+    const SweepResult a = at(1, [&] { return retimeAll(wt, designs); });
+    const SweepResult b = at(8, [&] { return retimeAll(wt, designs); });
     expectSameSweep(a, b);
 }
 
@@ -161,16 +156,6 @@ TEST_F(DeterminismTest, WorkTraceAcrossGeometriesIsBitIdenticalAcrossThreadCount
     const std::vector<WorkTrace> b = at(4, buildAll);
     drawWorkCacheClear();
 
-    // Every DrawWork column; the derived columns follow from them.
-    const std::vector<const double *(WorkTrace::*)() const> columns = {
-        &WorkTrace::vertices,        &WorkTrace::primitives,
-        &WorkTrace::pixels,          &WorkTrace::vertexFetchBytes,
-        &WorkTrace::vsWeightedOps,   &WorkTrace::psWeightedOps,
-        &WorkTrace::ropPixels,       &WorkTrace::texSamples,
-        &WorkTrace::texL2FillBytes,  &WorkTrace::texDramBytes,
-        &WorkTrace::vertexDramBytes, &WorkTrace::rtDramBytes,
-        &WorkTrace::l2Bytes,         &WorkTrace::dramBytes,
-        &WorkTrace::vsOpsTotal,      &WorkTrace::psOpsTotal};
     for (std::size_t p = 0; p < std::size(presets); ++p) {
         const WorkTrace &wa = a[p];
         const WorkTrace &wb = b[p];
@@ -178,15 +163,9 @@ TEST_F(DeterminismTest, WorkTraceAcrossGeometriesIsBitIdenticalAcrossThreadCount
         ASSERT_EQ(wa.drawCount(), wb.drawCount()) << presets[p];
         ASSERT_EQ(wa.groupCount(), wb.groupCount()) << presets[p];
         EXPECT_EQ(wa.capacityKey(), wb.capacityKey()) << presets[p];
-        for (std::size_t c = 0; c < columns.size(); ++c) {
-            const std::vector<double> ca((wa.*columns[c])(),
-                                         (wa.*columns[c])() +
-                                             wa.drawCount());
-            const std::vector<double> cb((wb.*columns[c])(),
-                                         (wb.*columns[c])() +
-                                             wb.drawCount());
-            ASSERT_EQ(ca, cb) << presets[p] << " column " << c;
-        }
+        for (std::size_t i = 0; i < wa.drawCount(); ++i)
+            ASSERT_TRUE(wa.work(i) == wb.work(i))
+                << presets[p] << " row " << i;
     }
     // The geometries really differ in their texture traffic.
     EXPECT_NE(a[0].totalDramBytes(), a[1].totalDramBytes());

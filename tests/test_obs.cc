@@ -482,7 +482,6 @@ TEST_F(ObsTest, MetricsJsonParsesAndCoversLegacyCounters)
         "gpusim.workTrace.draws",  "gpusim.workTrace.buildNs",
         "core.sweep.passes",       "core.sweep.configs",
         "core.sweep.drawsRetimed", "core.sweep.retimeNs",
-        "gpusim.texBind.hits",     "gpusim.texBind.misses",
     };
 
     const std::string json = obs::metricsRegistry().toJson();

@@ -1,18 +1,19 @@
 /**
  * @file
- * Bit-identity tests of the compute-once / retime-many sweep engine:
- * the flattened WorkTrace must reproduce computeDrawWork exactly, the
- * blocked retiming kernel must match both the naive per-design loops
- * and simulateTrace bit for bit (totals, per-group costs, per-draw
- * costs, bottleneck histograms) at every thread count, and the three
- * rewired studies (frequency scaling, pathfinding, DVFS) must produce
- * identical results on either path. Also covers the bound-texture
- * memo in MemorySystem and the texture-table epoch that keys it.
+ * Tests of the compute-once / retime-many sweeps: the WorkTrace must
+ * hold exactly the DrawWork computeDrawWork returns, retimeAll must
+ * match simulateFrame bit for bit (per-draw costs, group costs,
+ * totals, bottleneck histograms) at every thread count, and the three
+ * sweep studies (frequency scaling, pathfinding, DVFS) must keep
+ * golden hashes of their results. Also checks that a draw's memory
+ * traffic is a pure function of the draw.
  */
 
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 #include "core/energy_study.hh"
@@ -22,7 +23,6 @@
 #include "core/sweep.hh"
 #include "gpusim/draw_work_cache.hh"
 #include "gpusim/work_trace.hh"
-#include "runtime/counters.hh"
 #include "runtime/runtime.hh"
 #include "synth/generator.hh"
 
@@ -103,38 +103,19 @@ TEST_F(SweepTest, WorkTraceReproducesComputeDrawWork)
     ASSERT_EQ(wt.drawCount(), trace.totalDraws());
     EXPECT_EQ(wt.capacityKey(), capacityConfigHash(sim.config()));
 
-    for (std::size_t f = 0; f < trace.frameCount(); f += 7) {
+    double dram = 0.0;
+    for (std::size_t f = 0; f < trace.frameCount(); ++f) {
         const Frame &frame = trace.frame(f);
         ASSERT_EQ(wt.groupEnd(f) - wt.groupBegin(f), frame.drawCount());
-        for (std::size_t d = 0; d < frame.drawCount(); d += 5) {
+        for (std::size_t d = 0; d < frame.drawCount(); ++d) {
             const DrawWork expect =
                 sim.computeDrawWork(trace, frame.draws()[d]);
-            const std::size_t i = wt.groupBegin(f) + d;
-            const DrawWork got = wt.work(i);
-            EXPECT_EQ(got.vertices, expect.vertices);
-            EXPECT_EQ(got.primitives, expect.primitives);
-            EXPECT_EQ(got.pixels, expect.pixels);
-            EXPECT_EQ(got.vertexFetchBytes, expect.vertexFetchBytes);
-            EXPECT_EQ(got.vsWeightedOps, expect.vsWeightedOps);
-            EXPECT_EQ(got.psWeightedOps, expect.psWeightedOps);
-            EXPECT_EQ(got.ropPixels, expect.ropPixels);
-            EXPECT_EQ(got.traffic.texSamples, expect.traffic.texSamples);
-            EXPECT_EQ(got.traffic.texL2FillBytes,
-                      expect.traffic.texL2FillBytes);
-            EXPECT_EQ(got.traffic.texDramBytes,
-                      expect.traffic.texDramBytes);
-            EXPECT_EQ(got.traffic.vertexDramBytes,
-                      expect.traffic.vertexDramBytes);
-            EXPECT_EQ(got.traffic.rtDramBytes, expect.traffic.rtDramBytes);
-            // Derived columns must equal the recomputed expressions.
-            EXPECT_EQ(wt.l2Bytes()[i], expect.traffic.totalL2Bytes());
-            EXPECT_EQ(wt.dramBytes()[i], expect.traffic.totalDramBytes());
-            EXPECT_EQ(wt.vsOpsTotal()[i],
-                      expect.vertices * expect.vsWeightedOps);
-            EXPECT_EQ(wt.psOpsTotal()[i],
-                      expect.pixels * expect.psWeightedOps);
+            EXPECT_TRUE(wt.work(wt.groupBegin(f) + d) == expect)
+                << "frame " << f << " draw " << d;
+            dram += expect.traffic.totalDramBytes();
         }
     }
+    EXPECT_EQ(wt.totalDramBytes(), dram);
 }
 
 TEST_F(SweepTest, WorkTraceBuildIsThreadCountInvariant)
@@ -145,7 +126,7 @@ TEST_F(SweepTest, WorkTraceBuildIsThreadCountInvariant)
     const WorkTrace b = at(8, [&] { return buildWorkTrace(trace, sim); });
     ASSERT_EQ(a.drawCount(), b.drawCount());
     for (std::size_t i = 0; i < a.drawCount(); ++i)
-        EXPECT_EQ(a.dramBytes()[i], b.dramBytes()[i]);
+        EXPECT_TRUE(a.work(i) == b.work(i)) << "row " << i;
     EXPECT_EQ(a.totalDramBytes(), b.totalDramBytes());
 }
 
@@ -165,36 +146,88 @@ TEST_F(SweepTest, SubsetWorkTraceMatchesRepresentatives)
         for (std::size_t cl = 0; cl < c.k; ++cl) {
             const DrawWork expect = sim.computeDrawWork(
                 trace, frame.draws()[c.representatives[cl]]);
-            const DrawWork got = wt.work(wt.groupBegin(u) + cl);
-            EXPECT_EQ(got.pixels, expect.pixels);
-            EXPECT_EQ(got.traffic.totalDramBytes(),
-                      expect.traffic.totalDramBytes());
+            EXPECT_TRUE(wt.work(wt.groupBegin(u) + cl) == expect)
+                << "unit " << u << " cluster " << cl;
         }
     }
 }
 
 // -------------------------------------------------------------- retimeAll --
 
-TEST_F(SweepTest, EngineMatchesNaiveBitwise)
+/**
+ * retimeAll over a trace's work against a per-config simulateFrame of
+ * every frame: per-draw costs, group costs, the trace total and both
+ * bottleneck histograms must be bitwise equal.
+ */
+void
+expectRetimeMatchesSimulateFrame(const Trace &trace, const WorkTrace &wt,
+                                 const std::vector<GpuConfig> &configs,
+                                 const SweepResult &sweep)
+{
+    ASSERT_EQ(sweep.configCount, configs.size());
+    ASSERT_EQ(sweep.groupCount, trace.frameCount());
+    ASSERT_EQ(sweep.drawNs.size(), configs.size() * wt.drawCount());
+    for (std::size_t c = 0; c < configs.size(); ++c) {
+        const GpuSimulator sim(configs[c]);
+        double total = 0.0;
+        std::array<double, numStages> hist_ns{};
+        std::array<std::uint64_t, numStages> hist_count{};
+        for (std::size_t f = 0; f < trace.frameCount(); ++f) {
+            const FrameCost fc = sim.simulateFrame(trace, trace.frame(f));
+            EXPECT_EQ(sweep.groupNsAt(c, f), fc.totalNs)
+                << configs[c].name << " frame " << f;
+            for (std::size_t d = 0; d < fc.drawNs.size(); ++d)
+                ASSERT_EQ(sweep.drawNsAt(c, wt.groupBegin(f) + d),
+                          fc.drawNs[d])
+                    << configs[c].name << " frame " << f << " draw " << d;
+            total += fc.totalNs;
+            for (std::size_t s = 0; s < numStages; ++s) {
+                hist_ns[s] += fc.bottleneckNs[s];
+                hist_count[s] += fc.bottleneckCount[s];
+            }
+        }
+        EXPECT_EQ(sweep.totalNs[c], total) << configs[c].name;
+        for (std::size_t s = 0; s < numStages; ++s) {
+            const auto stage = static_cast<Stage>(s);
+            EXPECT_EQ(sweep.bottleneckNsAt(c, stage), hist_ns[s])
+                << configs[c].name << " stage " << toString(stage);
+            EXPECT_EQ(sweep.bottleneckCountAt(c, stage), hist_count[s])
+                << configs[c].name << " stage " << toString(stage);
+        }
+    }
+}
+
+TEST_F(SweepTest, RetimeAllMatchesSimulateFrameOnClockSweep)
 {
     const Trace &trace = testTrace();
     const GpuSimulator sim(makeGpuPreset("baseline"));
     const WorkTrace wt = buildWorkTrace(trace, sim);
     const std::vector<GpuConfig> points = sweepPoints();
+    SweepConfig cfg;
+    cfg.perDraw = true;
+    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        const SweepResult sweep =
+            at(threads, [&] { return retimeAll(wt, points, cfg); });
+        expectRetimeMatchesSimulateFrame(trace, wt, points, sweep);
+    }
+}
 
-    SweepConfig naive_cfg;
-    naive_cfg.path = SweepPath::Naive;
-    naive_cfg.perDraw = true;
-    SweepConfig engine_cfg = naive_cfg;
-    engine_cfg.path = SweepPath::Engine;
-
-    const SweepResult naive = retimeAll(wt, points, naive_cfg);
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                      std::size_t{4}}) {
-        const SweepResult engine = at(
-            threads, [&] { return retimeAll(wt, points, engine_cfg); });
-        EXPECT_TRUE(sameSweepResult(naive, engine))
-            << "engine diverges from naive at threads=" << threads;
+TEST_F(SweepTest, RetimeAllMatchesSimulateFrameOnCapacityGroup)
+{
+    // Designs sharing a capacity hash but not their throughput rates,
+    // as pathfinding retimes them against one work trace.
+    const Trace &trace = testTrace();
+    const std::vector<GpuConfig> designs = {makeGpuPreset("baseline"),
+                                            makeGpuPreset("wide"),
+                                            makeGpuPreset("fastmem")};
+    const GpuSimulator sim(designs.front());
+    const WorkTrace wt = buildWorkTrace(trace, sim);
+    SweepConfig cfg;
+    cfg.perDraw = true;
+    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        const SweepResult sweep =
+            at(threads, [&] { return retimeAll(wt, designs, cfg); });
+        expectRetimeMatchesSimulateFrame(trace, wt, designs, sweep);
     }
 }
 
@@ -209,184 +242,181 @@ TEST_F(SweepTest, RetimeAllEmptyAndSingleGroupTraces)
          {std::vector<std::size_t>{}, std::vector<std::size_t>{5}}) {
         WorkTrace wt(key, sizes);
         for (std::size_t i = 0; i < wt.drawCount(); ++i) {
-            DrawWork w;
+            DrawWork &w = wt.work(i);
             w.vertices = 100.0;
             w.pixels = 1000.0;
             w.vsWeightedOps = 4000.0;
             w.psWeightedOps = 20000.0;
-            wt.setRow(i, w);
         }
-        SweepConfig naive_cfg;
-        naive_cfg.path = SweepPath::Naive;
-        SweepConfig engine_cfg;
-        engine_cfg.path = SweepPath::Engine;
-        const SweepResult naive = retimeAll(wt, points, naive_cfg);
-        ASSERT_EQ(naive.groupCount, sizes.size());
-        ASSERT_EQ(naive.totalNs.size(), points.size());
-        for (std::size_t c = 0; c < points.size(); ++c)
-            EXPECT_EQ(naive.totalNs[c] > 0.0, !sizes.empty());
-        for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-            const SweepResult engine = at(threads, [&] {
-                return retimeAll(wt, points, engine_cfg);
-            });
-            EXPECT_TRUE(sameSweepResult(naive, engine))
-                << sizes.size() << " groups, threads=" << threads;
-        }
-    }
-}
-
-TEST_F(SweepTest, EngineMatchesSimulateTrace)
-{
-    const Trace &trace = testTrace();
-    const GpuSimulator base_sim(makeGpuPreset("baseline"));
-    const WorkTrace wt = buildWorkTrace(trace, base_sim);
-    const std::vector<GpuConfig> points = sweepPoints();
-
-    SweepConfig engine_cfg;
-    engine_cfg.path = SweepPath::Engine;
-    const SweepResult engine = retimeAll(wt, points, engine_cfg);
-
-    for (std::size_t c = 0; c < points.size(); ++c) {
-        const GpuSimulator sim(points[c]);
-        const TraceCost cost = sim.simulateTrace(trace);
-        EXPECT_EQ(engine.totalNs[c], cost.totalNs);
-        ASSERT_EQ(engine.groupCount, cost.frames.size());
-        std::array<double, numStages> hist_ns{};
-        std::array<std::uint64_t, numStages> hist_count{};
-        for (std::size_t f = 0; f < cost.frames.size(); ++f) {
-            EXPECT_EQ(engine.groupNsAt(c, f), cost.frames[f].totalNs);
-            for (std::size_t s = 0; s < numStages; ++s) {
-                hist_ns[s] += cost.frames[f].bottleneckNs[s];
-                hist_count[s] += cost.frames[f].bottleneckCount[s];
+        SweepConfig cfg;
+        cfg.perDraw = true;
+        const SweepResult one =
+            at(1, [&] { return retimeAll(wt, points, cfg); });
+        ASSERT_EQ(one.groupCount, sizes.size());
+        ASSERT_EQ(one.totalNs.size(), points.size());
+        for (std::size_t c = 0; c < points.size(); ++c) {
+            // The chain of timeDrawWork costs plus the frame overhead.
+            const GpuSimulator sim(points[c]);
+            double group = 0.0;
+            for (std::size_t i = 0; i < wt.drawCount(); ++i) {
+                const double ns = sim.timeDrawWork(wt.work(i)).totalNs;
+                EXPECT_EQ(one.drawNsAt(c, i), ns);
+                group += ns;
             }
+            const double expect =
+                sizes.empty() ? 0.0
+                              : group + points[c].frameOverheadUs * 1e3;
+            EXPECT_EQ(one.totalNs[c], expect);
+            EXPECT_EQ(one.totalNs[c] > 0.0, !sizes.empty());
         }
-        for (std::size_t s = 0; s < numStages; ++s) {
-            EXPECT_EQ(engine.bottleneckNsAt(c, static_cast<Stage>(s)),
-                      hist_ns[s]);
-            EXPECT_EQ(engine.bottleneckCountAt(c, static_cast<Stage>(s)),
-                      hist_count[s]);
-        }
+        const SweepResult four =
+            at(4, [&] { return retimeAll(wt, points, cfg); });
+        EXPECT_TRUE(sameSweepResult(one, four))
+            << sizes.size() << " groups";
     }
 }
 
-// ---------------------------------------------------------------- studies --
+// ---------------------------------------------------------- golden studies --
 
-TEST_F(SweepTest, FreqScalingPathsAreBitIdentical)
+/** FNV-1a 64 over the bit patterns of a sequence of doubles. */
+class DoubleHash
 {
-    const Trace &trace = testTrace();
-    const WorkloadSubset &subset = testSubset();
-    const GpuConfig base = makeGpuPreset("baseline");
+  public:
+    void
+    add(double x)
+    {
+        const auto v = std::bit_cast<std::uint64_t>(x);
+        for (int b = 0; b < 8; ++b) {
+            h ^= (v >> (8 * b)) & 0xff;
+            h *= 1099511628211ULL;
+        }
+    }
 
-    FreqScalingConfig naive_cfg;
-    naive_cfg.path = SweepPath::Naive;
-    FreqScalingConfig engine_cfg;
-    engine_cfg.path = SweepPath::Engine;
+    void
+    add(const std::vector<double> &xs)
+    {
+        for (double x : xs)
+            add(x);
+    }
 
-    const FreqScalingResult naive =
-        runFreqScaling(trace, subset, base, naive_cfg);
-    const FreqScalingResult engine =
-        runFreqScaling(trace, subset, base, engine_cfg);
+    void
+    add(const EnergyReport &e)
+    {
+        add(e.dynamicJ);
+        add(e.leakageJ);
+        add(e.dramJ);
+        add(e.boardJ);
+        add(e.seconds);
+    }
 
-    EXPECT_EQ(naive.parentNs, engine.parentNs);
-    EXPECT_EQ(naive.subsetNs, engine.subsetNs);
-    EXPECT_EQ(naive.parentImprovement, engine.parentImprovement);
-    EXPECT_EQ(naive.subsetImprovement, engine.subsetImprovement);
-    EXPECT_EQ(naive.correlation, engine.correlation);
-    EXPECT_EQ(naive.maxImprovementGap, engine.maxImprovementGap);
-    EXPECT_GT(engine.correlation, 0.9);
+    std::uint64_t value() const { return h; }
+
+  private:
+    std::uint64_t h = 1469598103934665603ULL;
+};
+
+// Hashes of every double in each study's result on the test trace,
+// captured before the sweeps were reduced to one timeDrawWork loop.
+constexpr std::uint64_t kFreqScalingHash = 0xd6ed223de6d864fbULL;
+constexpr std::uint64_t kPathfindingHash = 0xadfd3288684b0c3eULL;
+constexpr std::uint64_t kDvfsHash = 0x42fb3b77832a098dULL;
+
+std::uint64_t
+freqScalingHash()
+{
+    const FreqScalingResult r = runFreqScaling(
+        testTrace(), testSubset(), makeGpuPreset("baseline"),
+        FreqScalingConfig{});
+    DoubleHash h;
+    h.add(r.scales);
+    h.add(r.parentNs);
+    h.add(r.subsetNs);
+    h.add(r.parentImprovement);
+    h.add(r.subsetImprovement);
+    h.add(r.correlation);
+    h.add(r.maxImprovementGap);
+    return h.value();
 }
 
-TEST_F(SweepTest, PathfindingPathsAreBitIdentical)
+std::uint64_t
+pathfindingHash()
 {
-    const Trace &trace = testTrace();
-    const WorkloadSubset &subset = testSubset();
     std::vector<GpuConfig> designs;
     for (const std::string &name : gpuPresetNames())
         designs.push_back(makeGpuPreset(name));
-
-    const PathfindingResult naive =
-        runPathfinding(trace, subset, designs, SweepPath::Naive);
-    const PathfindingResult engine =
-        runPathfinding(trace, subset, designs, SweepPath::Engine);
-
-    ASSERT_EQ(naive.points.size(), engine.points.size());
-    for (std::size_t i = 0; i < naive.points.size(); ++i) {
-        EXPECT_EQ(naive.points[i].parentNs, engine.points[i].parentNs);
-        EXPECT_EQ(naive.points[i].subsetNs, engine.points[i].subsetNs);
-        EXPECT_EQ(naive.points[i].parentSpeedup,
-                  engine.points[i].parentSpeedup);
-        EXPECT_EQ(naive.points[i].subsetSpeedup,
-                  engine.points[i].subsetSpeedup);
+    const PathfindingResult r =
+        runPathfinding(testTrace(), testSubset(), designs);
+    DoubleHash h;
+    for (const DesignPointScore &p : r.points) {
+        h.add(p.parentNs);
+        h.add(p.subsetNs);
+        h.add(p.parentSpeedup);
+        h.add(p.subsetSpeedup);
     }
-    EXPECT_EQ(naive.parentRanking, engine.parentRanking);
-    EXPECT_EQ(naive.subsetRanking, engine.subsetRanking);
-    EXPECT_EQ(naive.rankingPreserved, engine.rankingPreserved);
-    EXPECT_EQ(naive.speedupCorrelation, engine.speedupCorrelation);
-    EXPECT_EQ(naive.rankCorrelation, engine.rankCorrelation);
+    h.add(r.speedupCorrelation);
+    h.add(r.rankCorrelation);
+    return h.value();
 }
 
-TEST_F(SweepTest, DvfsPathsAreBitIdentical)
+std::uint64_t
+dvfsHash()
 {
-    const Trace &trace = testTrace();
-    const WorkloadSubset &subset = testSubset();
-    const GpuConfig base = makeGpuPreset("baseline");
-
-    DvfsConfig naive_cfg;
-    naive_cfg.path = SweepPath::Naive;
-    DvfsConfig engine_cfg;
-    engine_cfg.path = SweepPath::Engine;
-
-    const DvfsResult naive = runDvfsStudy(trace, subset, base, naive_cfg);
-    const DvfsResult engine =
-        runDvfsStudy(trace, subset, base, engine_cfg);
-
-    ASSERT_EQ(naive.points.size(), engine.points.size());
-    for (std::size_t i = 0; i < naive.points.size(); ++i) {
-        EXPECT_EQ(naive.points[i].parent.totalJ(),
-                  engine.points[i].parent.totalJ());
-        EXPECT_EQ(naive.points[i].parent.energyDelay(),
-                  engine.points[i].parent.energyDelay());
-        EXPECT_EQ(naive.points[i].subset.totalJ(),
-                  engine.points[i].subset.totalJ());
-        EXPECT_EQ(naive.points[i].subset.energyDelay(),
-                  engine.points[i].subset.energyDelay());
+    const DvfsResult r = runDvfsStudy(testTrace(), testSubset(),
+                                      makeGpuPreset("baseline"),
+                                      DvfsConfig{});
+    DoubleHash h;
+    for (const DvfsPoint &p : r.points) {
+        h.add(p.scale);
+        h.add(p.parent);
+        h.add(p.subset);
     }
-    EXPECT_EQ(naive.parentOptimal, engine.parentOptimal);
-    EXPECT_EQ(naive.subsetOptimal, engine.subsetOptimal);
-    EXPECT_EQ(naive.energyCorrelation, engine.energyCorrelation);
-    EXPECT_EQ(naive.edpCorrelation, engine.edpCorrelation);
+    h.add(r.energyCorrelation);
+    h.add(r.edpCorrelation);
+    return h.value();
 }
 
-// -------------------------------------------------- texture-bind memo -----
+TEST_F(SweepTest, FreqScalingMatchesGoldenHash)
+{
+    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        const std::uint64_t got = at(threads, freqScalingHash);
+        EXPECT_EQ(got, kFreqScalingHash)
+            << "0x" << std::hex << got << " at threads=" << threads;
+    }
+}
 
-TEST_F(SweepTest, TextureBindMemoIsTransparent)
+TEST_F(SweepTest, PathfindingMatchesGoldenHash)
+{
+    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        const std::uint64_t got = at(threads, pathfindingHash);
+        EXPECT_EQ(got, kPathfindingHash)
+            << "0x" << std::hex << got << " at threads=" << threads;
+    }
+}
+
+TEST_F(SweepTest, DvfsMatchesGoldenHash)
+{
+    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        const std::uint64_t got = at(threads, dvfsHash);
+        EXPECT_EQ(got, kDvfsHash)
+            << "0x" << std::hex << got << " at threads=" << threads;
+    }
+}
+
+// --------------------------------------------------------- memory traffic --
+
+TEST_F(SweepTest, DrawTrafficIsRepeatable)
 {
     const Trace &trace = testTrace();
     MemorySystem memory(makeGpuPreset("baseline"));
     const DrawCall &draw = trace.frame(0).draws()[0];
 
     const MemoryTraffic first = memory.drawTraffic(trace, draw);
-    const std::uint64_t hits_before = runtimeCounters().texBindHits;
     const MemoryTraffic second = memory.drawTraffic(trace, draw);
     EXPECT_EQ(first.texSamples, second.texSamples);
     EXPECT_EQ(first.texL2FillBytes, second.texL2FillBytes);
     EXPECT_EQ(first.texDramBytes, second.texDramBytes);
     EXPECT_EQ(first.vertexDramBytes, second.vertexDramBytes);
     EXPECT_EQ(first.rtDramBytes, second.rtDramBytes);
-    if (first.texSamples > 0)
-        EXPECT_GT(runtimeCounters().texBindHits, hits_before);
-}
-
-TEST_F(SweepTest, TextureEpochAdvancesOnTableEdit)
-{
-    Trace copy = testTrace();
-    const std::uint64_t before = copy.textureEpoch();
-    TextureDesc desc;
-    desc.width = 64;
-    desc.height = 64;
-    desc.bytesPerTexel = 4;
-    copy.addTexture(desc);
-    EXPECT_NE(copy.textureEpoch(), before);
 }
 
 } // namespace
