@@ -95,9 +95,6 @@ addThreadsOption(ArgParser &args)
                    "record a Chrome/Perfetto trace to this file");
     args.addString("metrics-out", "",
                    "export the metrics registry as JSON to this file");
-    args.addString("metrics-text-out", "",
-                   "export the metrics registry as Prometheus text "
-                   "exposition to this file");
     args.addString("report-out", "",
                    "write a self-contained HTML dashboard built from "
                    "the --trace-out / --metrics-out artifacts and "
@@ -133,10 +130,6 @@ applyThreadsOption(const ArgParser &args)
     const std::string metrics_out = args.getString("metrics-out");
     if (!metrics_out.empty())
         obs::setMetricsOutputPath(metrics_out);
-    const std::string metrics_text_out =
-        args.getString("metrics-text-out");
-    if (!metrics_text_out.empty())
-        obs::setMetricsTextOutputPath(metrics_text_out);
 
     const std::string pca = args.getString("pca");
     if (!pca.empty()) {
@@ -211,7 +204,7 @@ namespace bench_detail {
 
 /**
  * SIGINT/SIGTERM handler: flush any armed --trace-out /
- * --metrics-out / --metrics-text-out exports, then die by the
+ * --metrics-out exports, then die by the
  * default disposition so the shell still sees a signal death.
  * flushObservability() is not async-signal-safe in the strict sense;
  * this is a best-effort last write on an interactive ^C, and the

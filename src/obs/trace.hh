@@ -220,12 +220,6 @@ std::string traceRollupReport();
 void setTraceOutputPath(const std::string &tracePath);
 void setMetricsOutputPath(const std::string &metricsPath);
 
-/**
- * Arm Prometheus text-exposition export (metrics_text.hh) alongside
- * the JSON exports; same flush-once lifecycle.
- */
-void setMetricsTextOutputPath(const std::string &metricsTextPath);
-
 /** Write any armed exports now (idempotent). */
 void flushObservability();
 

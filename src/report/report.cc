@@ -46,18 +46,6 @@ buildReportModel(const ReportInputs &inputs)
     return model;
 }
 
-ReportModel
-buildLiveReportModel(const MetricsData &metrics,
-                     const std::string &endpoint)
-{
-    ReportModel model;
-    model.live = true;
-    model.metrics = metrics;
-    model.hasMetrics = true;
-    model.sources.push_back("live scrape: " + endpoint);
-    return model;
-}
-
 namespace {
 
 /** One KPI chip. */
@@ -92,9 +80,6 @@ metricsTable(std::ostringstream &os, const MetricsData &metrics,
                << "</td><td>" << formatDouble(row->p95, 1)
                << "</td><td>" << formatDouble(row->p99, 1)
                << "</td>";
-        } else if (row->type == "info") {
-            os << "<td colspan=\"4\" class=\"name\">"
-               << htmlEscape(row->info) << "</td>";
         } else {
             os << "<td>" << formatDouble(row->value, 3)
                << "</td><td></td><td></td><td></td>";
@@ -118,26 +103,24 @@ std::string
 renderReportHtml(const ReportModel &model)
 {
     std::ostringstream os;
-    os << htmlHeader("gws execution dashboard",
-                     model.live ? 2 : 0);
-    os << "<header><h1>gws execution dashboard"
-       << (model.live ? " <small>(live)</small>" : "")
-       << "</h1><div class=\"sub\">3D workload subsetting — span "
-          "analytics, sweeps, and serving health</div></header>\n"
+    os << htmlHeader("gws execution dashboard");
+    os << "<header><h1>gws execution dashboard</h1>"
+          "<div class=\"sub\">3D workload subsetting — span "
+          "analytics, sweeps, and clustering quality</div></header>\n"
        << "<main>\n";
 
     openPanel(os, "panel-meta", "Provenance");
     os << "<ul>\n";
     for (const std::string &src : model.sources)
         os << "<li>" << htmlEscape(src) << "</li>\n";
-    if (model.hasMetrics)
-        if (const MetricRow *build =
-                model.metrics.find("gws.serve.build_info"))
-            os << "<li>serving build: " << htmlEscape(build->info)
-               << "</li>\n";
     os << "</ul>\n</section>\n";
 
     openPanel(os, "panel-utilization", "Per-stage utilization");
+    if (model.hasMetrics)
+        if (const MetricRow *dropped =
+                model.metrics.find("gws.trace.dropped_spans"))
+            kpi(os, humanCount(dropped->value),
+                "trace spans dropped");
     if (model.hasTrace) {
         os << "<h3>thread occupancy</h3>\n"
            << svgOccupancyTracks(model.utilization)
@@ -224,22 +207,6 @@ renderReportHtml(const ReportModel &model)
     if (!model.hasMetrics ||
         !metricsTable(os, model.metrics, "gws.part."))
         os << "<p class=\"empty\">no partitioner metrics</p>\n";
-    os << "</section>\n";
-
-    openPanel(os, "panel-serve", "Serving (gws.serve.*)");
-    if (model.hasMetrics) {
-        if (const MetricRow *up =
-                model.metrics.find("gws.serve.uptime_seconds"))
-            kpi(os, formatDouble(up->value, 1) + " s",
-                "daemon uptime");
-        if (const MetricRow *dropped =
-                model.metrics.find("gws.trace.dropped_spans"))
-            kpi(os, humanCount(dropped->value),
-                "trace spans dropped");
-    }
-    if (!model.hasMetrics ||
-        !metricsTable(os, model.metrics, "gws.serve."))
-        os << "<p class=\"empty\">no serving metrics</p>\n";
     os << "</section>\n";
 
     openPanel(os, "panel-benches", "Bench envelopes");

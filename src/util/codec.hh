@@ -80,8 +80,8 @@ framedPayloadCapFromRaw(std::size_t raw)
 /**
  * The effective framed-payload cap: GWS_MAX_PAYLOAD (bytes, read once
  * through the checked envSize parser), defaulting to
- * maxFramedPayloadBytes. Applies to every framed format — files and
- * serve-protocol messages alike.
+ * maxFramedPayloadBytes. Applies to every framed file format (traces
+ * and subsets).
  */
 inline std::uint32_t
 framedPayloadCap()

@@ -3,10 +3,10 @@
  * Tests of the report pipeline: the strict JSON reader (grammar
  * rejection, truncation, byte-flip fuzzing), trace ingest with
  * flow-id fold-back, golden span-forest / utilization / attribution
- * numbers for a hand-built fan-out trace, both metrics wire formats
- * round-tripped through the real exporters, bench-envelope loading,
- * and the rendered dashboard's structural contract (every panel id
- * present, zero external references).
+ * numbers for a hand-built fan-out trace, the gws.metrics.v1 snapshot
+ * round-tripped through the registry exporter, bench-envelope
+ * loading, and the rendered dashboard's structural contract (every
+ * panel id present, zero external references).
  */
 
 #include <gtest/gtest.h>
@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "obs/metrics.hh"
-#include "obs/metrics_text.hh"
 #include "report/analysis.hh"
 #include "report/ingest.hh"
 #include "report/json.hh"
@@ -345,7 +344,7 @@ TEST(ReportAnalysis, ChunksWithoutFlowStartAreOrphans)
     EXPECT_EQ(attr.parallelSavedNs, 0u);
 }
 
-// -------------------------------------------------- metrics formats --
+// --------------------------------------------------- metrics import --
 
 TEST(ReportMetrics, JsonRoundTripThroughRegistryExporter)
 {
@@ -356,10 +355,9 @@ TEST(ReportMetrics, JsonRoundTripThroughRegistryExporter)
         obs::metricsRegistry().histogram("test.report.lat");
     for (std::uint64_t v : {3u, 5u, 9u, 17u, 900u})
         h.record(v);
-    obs::metricsRegistry().setInfo("test.report.build", "abc-dirty");
 
     const MetricsData data =
-        readMetricsJsonText(obs::metricsRegistry().toJson());
+        readMetricsText(obs::metricsRegistry().toJson());
     obs::metricsRegistry().resetPrefix("test.report.");
 
     const MetricRow *hits = data.find("test.report.hits");
@@ -380,69 +378,17 @@ TEST(ReportMetrics, JsonRoundTripThroughRegistryExporter)
     EXPECT_GT(lat->p50, 0.0);
     EXPECT_GE(lat->p99, lat->p50);
 
-    const MetricRow *build = data.find("test.report.build");
-    ASSERT_NE(build, nullptr);
-    EXPECT_EQ(build->type, "info");
-    EXPECT_EQ(build->info, "abc-dirty");
-
-    EXPECT_EQ(data.withPrefix("test.report.").size(), 4u);
-}
-
-TEST(ReportMetrics, PrometheusRoundTripThroughTextExporter)
-{
-    std::vector<obs::MetricSnapshot> snapshot(4);
-    snapshot[0].name = "gws.test.hits";
-    snapshot[0].type = obs::MetricType::Counter;
-    snapshot[0].counterValue = 42;
-    snapshot[1].name = "gws.test.load";
-    snapshot[1].type = obs::MetricType::Gauge;
-    snapshot[1].gaugeValue = 1.5;
-    snapshot[2].name = "gws.test.lat";
-    snapshot[2].type = obs::MetricType::Histogram;
-    snapshot[2].histCount = 3;
-    snapshot[2].histSum = 700;
-    snapshot[2].buckets = {{0, 100, 2}, {100, 1000, 1}};
-    snapshot[3].name = "gws.test.build";
-    snapshot[3].type = obs::MetricType::Info;
-    snapshot[3].infoValue = "v1 \"x\"";
-
-    const MetricsData data = readMetricsText(
-        obs::metricsPrometheusText(snapshot));
-
-    // Dotted lookups resolve through the exporter's name mapping.
-    const MetricRow *hits = data.find("gws.test.hits");
-    ASSERT_NE(hits, nullptr);
-    EXPECT_EQ(hits->type, "counter");
-    EXPECT_DOUBLE_EQ(hits->value, 42.0);
-
-    const MetricRow *load = data.find("gws.test.load");
-    ASSERT_NE(load, nullptr);
-    EXPECT_EQ(load->type, "gauge");
-    EXPECT_DOUBLE_EQ(load->value, 1.5);
-
-    const MetricRow *lat = data.find("gws.test.lat");
-    ASSERT_NE(lat, nullptr);
-    EXPECT_EQ(lat->type, "histogram");
-    EXPECT_EQ(lat->count, 3u);
-    EXPECT_DOUBLE_EQ(lat->sum, 700.0);
-    // De-cumulated back to per-bucket counts.
-    ASSERT_EQ(lat->buckets.size(), 2u);
-    EXPECT_EQ(lat->buckets[0].count, 2u);
-    EXPECT_EQ(lat->buckets[1].count, 1u);
-    EXPECT_EQ(lat->buckets[1].hi, 1000u);
-
-    const MetricRow *build = data.find("gws.test.build");
-    ASSERT_NE(build, nullptr);
-    EXPECT_EQ(build->type, "info");
-    EXPECT_EQ(build->info, "v1 \"x\"");
+    EXPECT_EQ(data.withPrefix("test.report.").size(), 3u);
 }
 
 TEST(ReportMetrics, RejectsWrongSchemaAndEmptyInput)
 {
-    EXPECT_THROW(readMetricsJsonText(
+    EXPECT_THROW(readMetricsText(
                      "{\"schema\": \"other.v9\", \"metrics\": []}"),
                  ReportError);
     EXPECT_THROW(readMetricsText("   \n "), ReportError);
+    // Prometheus text exposition is not a supported input format.
+    EXPECT_THROW(readMetricsText("gws_x_total 3\n"), ReportError);
     EXPECT_THROW(readMetricsText("{\"schema\": \"gws.metrics.v1\""),
                  ReportError);
 }
@@ -530,7 +476,7 @@ const char *kPanelIds[] = {
     "panel-meta",      "panel-utilization",
     "panel-bottlenecks", "panel-heatmap",
     "panel-cluster-quality", "panel-partition",
-    "panel-serve",     "panel-benches",
+    "panel-benches",
 };
 
 void
@@ -578,21 +524,29 @@ TEST(ReportPage, OfflineModelRendersAllPanelsSelfContained)
     EXPECT_NE(html.find("kmeans"), std::string::npos);
 }
 
-TEST(ReportPage, LiveModelRendersSamePanelShape)
+TEST(ReportPage, DroppedSpansKpiRendersInUtilizationPanel)
 {
-    std::vector<obs::MetricSnapshot> snapshot(1);
-    snapshot[0].name = "gws.serve.uptime_seconds";
-    snapshot[0].type = obs::MetricType::Gauge;
-    snapshot[0].gaugeValue = 12.0;
-    const MetricsData metrics =
-        readMetricsText(obs::metricsPrometheusText(snapshot));
+    const std::string metricsPath = tmpPath("dropped_metrics.json");
+    writeFile(metricsPath,
+              R"({"schema": "gws.metrics.v1", "metrics": [
+  {"name": "gws.trace.dropped_spans", "type": "counter",
+   "value": 1234}]})");
 
-    const ReportModel model =
-        buildLiveReportModel(metrics, "unix:/tmp/gws.sock");
-    EXPECT_TRUE(model.live);
-    const std::string html = renderReportHtml(model);
+    ReportInputs inputs;
+    inputs.metricsPath = metricsPath;
+    const std::string html =
+        renderReportHtml(buildReportModel(inputs));
     expectSelfContained(html);
-    EXPECT_NE(html.find("unix:/tmp/gws.sock"), std::string::npos);
+
+    const std::size_t panel =
+        html.find("<section id=\"panel-utilization\"");
+    ASSERT_NE(panel, std::string::npos);
+    const std::size_t end = html.find("</section>", panel);
+    const std::string utilization = html.substr(panel, end - panel);
+    EXPECT_NE(utilization.find("<b>1.2K</b><small>trace spans "
+                               "dropped</small>"),
+              std::string::npos)
+        << utilization;
 }
 
 TEST(ReportPage, WriteIsAtomicAndLeavesNoTempFile)
